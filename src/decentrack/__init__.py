@@ -13,6 +13,7 @@ from .algorithms import (
     AlgorithmSpec,
     DivergenceError,
     HyperparameterCheck,
+    State,
     comm_cost,
     init_states,
     run_round,
@@ -63,6 +64,7 @@ __all__ = [
     "Partition",
     "Problem",
     "SpectralStats",
+    "State",
     "SyntheticProblemSpec",
     "TrainingResult",
     "ValidationReport",

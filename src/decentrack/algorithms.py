@@ -1,10 +1,11 @@
 """Synchronous-round update rules for decentralized optimization.
 
-Every rule is a pure transition ``(states, W, spec, oracle) -> states'``
-over the full agent population.  The update-tracking family (GUT and its
-momentum variants) evaluates gradients at the gossip-mixed point
-``s_i = sum_j w_ij x_j`` and transmits a single tracked update per round;
-the baselines evaluate at the local parameters.  Four algebraically
+Every rule is a pure transition ``(state, W, spec, oracle) -> state'``
+over the full agent population, held as one stacked ``State``.  The
+update-tracking family (GUT and its momentum variants) evaluates gradients
+at the gossip-mixed point ``s_i = sum_j w_ij x_j`` and transmits a single
+tracked update per round; the baselines evaluate at the local parameters.
+Every product with W goes through ``MixingMatrix.mix``.  Four algebraically
 equivalent formulations of the tracked update are provided so that their
 trajectories can be cross-checked:
 
@@ -20,6 +21,7 @@ replayed across formulations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +35,7 @@ __all__ = [
     "AlgorithmSpec",
     "DivergenceError",
     "HyperparameterCheck",
+    "State",
     "init_states",
     "run_round",
     "gut_round",
@@ -120,124 +123,119 @@ class AlgorithmSpec:
         return kind
 
 
-def _stack(states: list[AgentState], attr: str) -> np.ndarray:
-    return np.stack([getattr(st, attr) for st in states])
+@dataclass
+class State:
+    """All agents' buffers at a round boundary, one ``(n, d)`` array each.
 
+    Row i of ``X, S, Y, D, M, B, Xp`` is agent i's ``x, s, y_prev,
+    delta_prev, m, bias, x_prev``.  ``len``, iteration and indexing give
+    per-agent ``AgentState`` views of the rows.  Rounds never write into
+    a state's arrays; each returns a new state.
+    """
 
-def _rebuild(states, *, X, S, Y, D, M=None, B=None, Xp=None) -> list[AgentState]:
-    rnd = states[0].round + 1
-    out = []
-    for i, st in enumerate(states):
-        if not np.all(np.isfinite(X[i])):
-            raise DivergenceError(i, states[0].round)
-        out.append(
-            AgentState(
-                x=X[i],
-                s=S[i],
-                y_prev=Y[i],
-                delta_prev=D[i],
-                m=M[i] if M is not None else st.m,
-                bias=B[i] if B is not None else st.bias,
-                x_prev=Xp[i] if Xp is not None else st.x,
-                round=rnd,
-            )
+    X: np.ndarray
+    S: np.ndarray
+    Y: np.ndarray
+    D: np.ndarray
+    M: np.ndarray
+    B: np.ndarray
+    Xp: np.ndarray
+    round: int = 0
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, i: int) -> AgentState:
+        i = operator.index(i)
+        return AgentState(
+            x=self.X[i], s=self.S[i], y_prev=self.Y[i], delta_prev=self.D[i],
+            m=self.M[i], bias=self.B[i], x_prev=self.Xp[i], round=self.round,
         )
-    return out
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def advance(self, *, X, S, Y, D, M=None, B=None) -> State:
+        """The next round's state; raises DivergenceError on non-finite X."""
+        finite = np.isfinite(X)
+        if not finite.all():
+            raise DivergenceError(int(np.argmin(finite.all(axis=1))), self.round)
+        return State(
+            X=X, S=S, Y=Y, D=D,
+            M=self.M if M is None else M,
+            B=self.B if B is None else B,
+            Xp=self.X,
+            round=self.round + 1,
+        )
 
 
-def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> list[AgentState]:
-    """Initial agent states: s = W X0 rows, all auxiliary buffers zero."""
-    X0 = np.asarray(X0, dtype=float)
+def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> State:
+    """Initial state: S = W X0, x_prev = X0, all other buffers zero."""
+    X0 = np.array(X0, dtype=float, order="C")
     if X0.ndim != 2 or X0.shape[0] != W.n:
         raise ValueError(f"X0 must be ({W.n}, d), got shape {X0.shape}")
     if not np.all(np.isfinite(X0)):
         raise ValueError("X0 must be finite")
-    S = W.weights @ X0
-    d = X0.shape[1]
-    return [
-        AgentState(
-            x=X0[i].copy(),
-            s=S[i],
-            y_prev=np.zeros(d),
-            delta_prev=np.zeros(d),
-            m=np.zeros(d),
-            bias=np.zeros(d),
-            x_prev=X0[i].copy(),
-        )
-        for i in range(W.n)
-    ]
+    Y, D, M, B = (np.zeros_like(X0) for _ in range(4))
+    return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
 
 
 def _gradients(oracle, points: np.ndarray, rnd: int) -> np.ndarray:
     return np.stack([oracle(i, points[i], rnd)[1] for i in range(len(points))])
 
 
-def gut_round(states, W, spec, oracle) -> list[AgentState]:
+def gut_round(st: State, W, spec, oracle) -> State:
     """One tracked-update round (per-agent recursion with neighbor copies).
 
     g is taken at the mixed point s_i; the transmitted update is
     y = delta + mu * [W y_prev - (s - x)/eta - delta_prev] with
     delta = g - (s - x)/eta, and x steps by -eta*y.
     """
-    w = W.weights
-    eta = spec.lr(states[0].round)
+    eta = spec.lr(st.round)
     mu = spec.mu
-    X = _stack(states, "x")
-    Yp = _stack(states, "y_prev")
-    Dp = _stack(states, "delta_prev")
-    S = w @ X
-    G = _gradients(oracle, S, states[0].round)
+    X, S = st.X, st.S
+    G = _gradients(oracle, S, st.round)
     disp = S - X
     delta = G - disp / eta
-    corr = w @ Yp - disp / eta - Dp
+    corr = W.mix(st.Y) - disp / eta - st.D
     Y = delta + mu * corr
     # x - eta*y rearranged around the mixed point; reduces to W x - eta g
     # exactly when mu = 0
     Xn = S - eta * (G + mu * corr)
-    Sn = w @ Xn
-    return _rebuild(states, X=Xn, S=Sn, Y=Y, D=delta, Xp=X)
+    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
 
 
-def gut_form_round(states, W, spec, oracle, form: str) -> list[AgentState]:
+def gut_form_round(st: State, W, spec, oracle, form: str) -> State:
     """Alternative GUT formulations: ``matrix``, ``bias`` or ``memeff``."""
-    w = W.weights
-    rnd = states[0].round
+    rnd = st.round
     eta = spec.lr(rnd)
     mu = spec.mu
-    X = _stack(states, "x")
+    X, S = st.X, st.S
     if form == "matrix":
-        Yp = _stack(states, "y_prev")
-        Dp = _stack(states, "delta_prev")
-        S = w @ X
         G = _gradients(oracle, S, rnd)
-        delta = G - (w @ X - X) / eta
-        Y = delta + mu * (w @ Yp - (w @ X - X) / eta - Dp)
+        delta = G - (S - X) / eta
+        Y = delta + mu * (W.mix(st.Y) - (S - X) / eta - st.D)
         Xn = X - eta * Y
-        return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=delta, Xp=X)
+        return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
     if form == "bias":
-        B = _stack(states, "bias")
-        S = w @ X
         G = _gradients(oracle, S, rnd)
-        Xn = S - eta * (G + mu * B)
-        Bn = -((2.0 * w @ (Xn - X) - (Xn - X)) + eta * G) / eta
+        Xn = S - eta * (G + mu * st.B)
+        Bn = -((2.0 * W.mix(Xn - X) - (Xn - X)) + eta * G) / eta
         Y = (X - Xn) / eta
         delta = G - (S - X) / eta
-        return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=delta, B=Bn, Xp=X)
+        return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta, B=Bn)
     if form == "memeff":
-        Yp = _stack(states, "y_prev")
-        Dp = _stack(states, "delta_prev")
-        S = _stack(states, "s")  # incrementally maintained aggregate
+        # S is the incrementally maintained aggregate, never recomputed
         G = _gradients(oracle, S, rnd)
         disp = S - X
         delta = G - disp / eta
-        Y = delta + mu * (w @ Yp - disp / eta - Dp)
+        Y = delta + mu * (W.mix(st.Y) - disp / eta - st.D)
         Xn = X - eta * Y
-        Sn = S - eta * (w @ Y)
-        return _rebuild(states, X=Xn, S=Sn, Y=Y, D=delta, Xp=X)
+        return st.advance(X=Xn, S=S - eta * W.mix(Y), Y=Y, D=delta)
     raise ValueError(f"unknown GUT form {form!r}")
 
 
-def qg_gutm_round(states, W, spec, oracle) -> list[AgentState]:
+def qg_gutm_round(st: State, W, spec, oracle) -> State:
     """Tracked update combined with a momentum buffer.
 
     Variants: QG-GUTm (exponential buffer, transmits m), QG-GUTm-impl
@@ -246,19 +244,15 @@ def qg_gutm_round(states, W, spec, oracle) -> list[AgentState]:
     versions of the latter two.
     """
     kind = spec.effective_kind()
-    w = W.weights
-    rnd = states[0].round
+    rnd = st.round
     eta = spec.lr(rnd)
     mu, beta = spec.mu, spec.beta
-    X = _stack(states, "x")
-    Mp = _stack(states, "m")
-    Dp = _stack(states, "delta_prev")
-    S = w @ X
+    X, S, Mp = st.X, st.S, st.M
     G = _gradients(oracle, S, rnd)
     disp = S - X
     delta = G - disp / eta
     scale = (1.0 + beta) if kind == "QG-GUTm-impl" else 1.0
-    corr = w @ Mp - scale * disp / eta - Dp
+    corr = W.mix(Mp) - scale * disp / eta - st.D
     Y = delta + mu * corr
     tracked_step = S - eta * (G + mu * corr)  # equals x - eta*y
     if kind == "QG-GUTm":
@@ -275,89 +269,77 @@ def qg_gutm_round(states, W, spec, oracle) -> list[AgentState]:
         Xn = tracked_step - eta * beta * M
     else:
         raise ValueError(f"qg_gutm_round cannot run kind {spec.kind!r}")
-    return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=delta, M=M, Xp=X)
+    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
 
 
-def baseline_round(states, W, spec, oracle) -> list[AgentState]:
+def baseline_round(st: State, W, spec, oracle) -> State:
     """Gossip baselines with gradients at the local parameters."""
     kind = spec.effective_kind()
-    w = W.weights
-    rnd = states[0].round
+    rnd = st.round
     eta = spec.lr(rnd)
     beta = spec.beta
-    X = _stack(states, "x")
-    Mp = _stack(states, "m")
+    X, Mp = st.X, st.M
     G = _gradients(oracle, X, rnd)
     if kind == "DSGD":
         M = Mp
-        Xn = w @ (X - eta * G)
+        Xn = W.mix(X - eta * G)
     elif kind == "DSGDm":
         M = beta * Mp + G
-        Xn = w @ (X - eta * M)
+        Xn = W.mix(X - eta * M)
     elif kind == "DSGDmN":
         M = beta * Mp + G
-        Xn = w @ (X - eta * (G + beta * M))
+        Xn = W.mix(X - eta * (G + beta * M))
     elif kind == "QG-DSGDm":
-        Xn = w @ (X - eta * (G + beta * Mp))
+        Xn = W.mix(X - eta * (G + beta * Mp))
         M = beta * Mp + (1.0 - beta) * (X - Xn) / eta
     elif kind == "QG-DSGDmN":
         look = beta * Mp + (1.0 - beta) * G
-        Xn = w @ (X - eta * (G + beta * look))
+        Xn = W.mix(X - eta * (G + beta * look))
         M = beta * Mp + (1.0 - beta) * (X - Xn) / eta
     else:
         raise ValueError(f"baseline_round cannot run kind {spec.kind!r}")
     Y = (X - Xn) / eta
-    return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=G, M=M, Xp=X)
+    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=G, M=M)
 
 
-def gradient_tracking_round(states, W, spec, oracle) -> list[AgentState]:
+def gradient_tracking_round(st: State, W, spec, oracle) -> State:
     """Gradient tracking: y accumulates g - g_prev through the gossip mix.
 
     Both x and y are exchanged (2x communication).  y is initialized to
     the first local gradient.
     """
-    w = W.weights
-    rnd = states[0].round
+    rnd = st.round
     eta = spec.lr(rnd)
-    X = _stack(states, "x")
+    X = st.X
     G = _gradients(oracle, X, rnd)
-    if rnd == 0:
-        Y = G
-    else:
-        Yp = _stack(states, "y_prev")
-        Gp = _stack(states, "delta_prev")
-        Y = w @ Yp - Gp + G
-    Xn = w @ (X - eta * Y)
-    return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=G, Xp=X)
+    Y = G if rnd == 0 else W.mix(st.Y) - st.D + G
+    Xn = W.mix(X - eta * Y)
+    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=G)
 
 
-def rule_round(states, W, spec, oracle) -> list[AgentState]:
+def rule_round(st: State, W, spec, oracle) -> State:
     """Naive tracking ablations (Rule-a, Rule-b).
 
     Both share the tracked first term G - (W - I)X/eta and transmit only
     Y; they differ in the mu-scaled correction.
     """
-    w = W.weights
-    rnd = states[0].round
+    rnd = st.round
     eta = spec.lr(rnd)
     mu = spec.mu
-    X = _stack(states, "x")
-    S = w @ X
+    X, S = st.X, st.S
     G = _gradients(oracle, S, rnd)
     disp = S - X
     delta = G - disp / eta
     if spec.kind == "RuleA":
-        Yp = _stack(states, "y_prev")
-        Dp = _stack(states, "delta_prev")
-        corr = w @ Yp - Dp
+        corr = W.mix(st.Y) - st.D
     elif spec.kind == "RuleB":
-        dx = X - _stack(states, "x_prev")
-        corr = -(w @ dx - dx) / eta
+        dx = X - st.Xp
+        corr = -(W.mix(dx) - dx) / eta
     else:
         raise ValueError(f"rule_round cannot run kind {spec.kind!r}")
     Y = delta + mu * corr
     Xn = S - eta * (G + mu * corr)
-    return _rebuild(states, X=Xn, S=w @ Xn, Y=Y, D=delta, Xp=X)
+    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
 
 
 _DISPATCH = {
@@ -378,7 +360,7 @@ _DISPATCH = {
 }
 
 
-def run_round(states, W, spec, oracle) -> list[AgentState]:
+def run_round(state: State, W, spec, oracle) -> State:
     """Dispatch one synchronous round for spec.kind.
 
     Overflow is not a warning here: divergence is an intended experimental
@@ -387,8 +369,8 @@ def run_round(states, W, spec, oracle) -> list[AgentState]:
     kind = spec.kind
     with np.errstate(over="ignore", invalid="ignore"):
         if kind.startswith("GUT-"):
-            return gut_form_round(states, W, spec, oracle, form=kind.split("-", 1)[1].lower())
-        return _DISPATCH[kind](states, W, spec, oracle)
+            return gut_form_round(state, W, spec, oracle, form=kind.split("-", 1)[1].lower())
+        return _DISPATCH[kind](state, W, spec, oracle)
 
 
 @dataclass
@@ -420,6 +402,4 @@ def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> Hyp
 def comm_cost(spec: AlgorithmSpec, d: int, W: MixingMatrix) -> int:
     """Scalars transmitted per agent per round: degree * d, doubled for GT."""
     mult = 2 if spec.kind == "GT" else 1
-    degrees = [W.degree(i) for i in range(W.n)]
-    deg = degrees[0] if len(set(degrees)) == 1 else sum(degrees) / len(degrees)
-    return int(deg * d * mult)
+    return int(W.degrees.mean() * d * mult)

@@ -392,10 +392,15 @@ def _cmd_equivalence(config: dict, outdir: Path) -> int:
         "per_form": report.per_form,
         "tol": report.tol,
         "passed": report.passed,
+        "rounds": report.rounds,
+        "diverged_at": report.diverged_at,
     }
     _write(outdir, "equivalence.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     verdict = "<=" if report.passed else ">"
-    print(f"equivalence max deviation {report.max_deviation:.3g} {verdict} {report.tol:g}")
+    print(
+        f"equivalence max deviation {report.max_deviation:.3g} {verdict} {report.tol:g} "
+        f"rounds={report.rounds}"
+    )
     return 0 if report.passed else 3
 
 
@@ -456,6 +461,9 @@ def main(argv: list[str]) -> int:
         config = parse_config(argv[1:])
         outdir = Path(config["run.output_dir"])
         return _COMMANDS[sub](config, outdir)
+    except algorithms.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -463,3 +471,7 @@ def main(argv: list[str]) -> int:
 
 def cli_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    cli_entry()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algorithms, models
+from . import models
 from .algorithms import AlgorithmSpec, DivergenceError, comm_cost, init_states, run_round
 from .topology import MixingMatrix
 
@@ -94,9 +94,9 @@ def consensus_error(X: np.ndarray) -> float:
 
 
 def average_model(states) -> np.ndarray:
-    if not states:
+    if not len(states):
         raise ValueError("average_model needs at least one agent state")
-    return np.mean([st.x for st in states], axis=0)
+    return np.mean(states.X, axis=0)
 
 
 def run_consensus(
@@ -122,7 +122,6 @@ def run_consensus(
         raise ValueError(f"T must be >= 1, got {T}")
     if method in ("gossip", "qg-gossip"):
         mu = 0.0
-    w = W.weights
     X = np.asarray(X0, dtype=float).copy()
     n, d = X.shape
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
@@ -130,7 +129,8 @@ def run_consensus(
     meta = {"task": "consensus", "method": method, "mu": mu, "beta": beta, "n": n, "d": d, "rounds": T}
     if on_round is not None:
         on_round(0, X)
-    Xp = X.copy()
+    # round 1's X_prev is X itself, so its W X_prev is that round's W X
+    Xp, WXp = X, None
     Yp = np.zeros_like(X)
     M = np.zeros_like(X)
     Mhat = np.zeros_like(X)
@@ -140,22 +140,23 @@ def run_consensus(
     # it is detected via the finiteness check, not reported as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            WX = w @ X
-            mix_prev = (w @ Xp - Xp) - (WX - X)  # (W - I)(X_prev - X)
+            WX = W.mix(X)
+            WXp = WX if WXp is None else WXp
+            mix_prev = (WXp - Xp) - (WX - X)  # (W - I)(X_prev - X)
             if not use_momentum:
-                bracket = w @ Yp - mix_prev
+                bracket = W.mix(Yp) - mix_prev
                 Y = (WX - X) + mu * bracket
                 Xn = WX + mu * bracket
                 Yp = Y
             else:
                 M = beta * M + (1.0 - beta) * (X - Xp)
-                inner = (WX - X) + mu * (w @ Mhat - mix_prev)
+                inner = (WX - X) + mu * (W.mix(Mhat) - mix_prev)
                 Mhat = beta * M + (1.0 - beta) * inner
                 Xn = X + Mhat
             if not np.all(np.isfinite(Xn)):
                 divergent = True
                 break
-            Xp, X = X, Xn
+            Xp, X, WXp = X, Xn, WX
             rows.append(
                 TraceRow(
                     round=t,
@@ -237,10 +238,9 @@ def run_training(
                 except DivergenceError:
                     divergent = True
                     break
-                X = np.stack([st.x for st in states])
                 row = TraceRow(
                     round=t,
-                    consensus_error=consensus_error(X),
+                    consensus_error=consensus_error(states.X),
                     mean_loss=float(np.mean(round_losses)) if round_losses else None,
                     eta=spec.lr(t),
                     comm_scalars=scalars_per_round * (t + 1),
@@ -288,11 +288,18 @@ def run_training(
 
 @dataclass
 class EquivalenceReport:
-    """Cross-formulation deviation of the tracked-update trajectories."""
+    """Cross-formulation deviation of the tracked-update trajectories.
+
+    ``rounds`` is the number of rounds compared: T, or fewer when the
+    reference diverged.  ``diverged_at`` maps each formulation to the
+    round in which it turned non-finite, or None.
+    """
 
     max_deviation: float
     per_form: dict
     tol: float
+    rounds: int = 0
+    diverged_at: dict = dataclasses.field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -311,7 +318,10 @@ def check_equivalence(
 
     Agents start from a shared parameter vector; the report carries the
     max relative parameter deviation of each formulation from the
-    per-agent reference over all rounds.
+    per-agent reference over all rounds.  A diverging run is compared up
+    to the round in which the reference turns non-finite; a formulation
+    that diverges in another round, or a comparison of zero rounds,
+    counts as an infinite deviation.
     """
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dim)
@@ -319,21 +329,30 @@ def check_equivalence(
     oracle = models.make_oracle(problem, batch_size=None, seed=seed)
     forms = ("GUT", "GUT-matrix", "GUT-bias", "GUT-memeff")
     trajectories: dict[str, list[np.ndarray]] = {}
+    diverged_at: dict[str, int | None] = {}
     for kind in forms:
         form_spec = dataclasses.replace(spec, kind=kind)
-        states = init_states(X0, W, form_spec)
+        state = init_states(X0, W, form_spec)
         traj = []
-        for _ in range(T):
-            states = run_round(states, W, form_spec, oracle)
-            traj.append(np.stack([st.x for st in states]))
+        diverged_at[kind] = None
+        try:
+            for _ in range(T):
+                state = run_round(state, W, form_spec, oracle)
+                traj.append(state.X)
+        except DivergenceError as exc:
+            diverged_at[kind] = exc.round
         trajectories[kind] = traj
     ref = trajectories["GUT"]
     per_form = {}
     for kind in forms[1:]:
-        dev = max(
+        if not ref or diverged_at[kind] != diverged_at["GUT"]:
+            per_form[kind] = math.inf
+            continue
+        per_form[kind] = max(
             float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
             for a, b in zip(trajectories[kind], ref)
         )
-        per_form[kind] = dev
-    max_dev = max(per_form.values())
-    return EquivalenceReport(max_deviation=max_dev, per_form=per_form, tol=tol)
+    return EquivalenceReport(
+        max_deviation=max(per_form.values()), per_form=per_form, tol=tol,
+        rounds=len(ref), diverged_at=diverged_at,
+    )

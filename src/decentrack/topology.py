@@ -8,6 +8,7 @@ gossip averaging contracts toward consensus.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,15 @@ __all__ = [
 ]
 
 STOCHASTIC_TOL = 1e-12
+
+# Mixing crossover.  ``MixingMatrix.mix`` gathers over the neighbour table
+# when there are at least GATHER_MIN_N agents and otherwise multiplies by
+# the dense matrix.  Measured with one OpenBLAS thread on a 2-vCPU Xeon KVM
+# guest, dense / gather in us at d = 32 (d = 200): ring-128 22 / 31
+# (166 / 78), ring-160 28 / 26 (216 / 86), ring-256 103 / 38 (525 / 176),
+# ring-1024 2120 / 198, torus-144 35 / 33, torus-256 117 / 56,
+# torus-1024 2250 / 339.  At d = 1 both stay below 16 us up to n = 256.
+GATHER_MIN_N = 160
 
 # Chords of the Dyck graph on 32 vertices (0-indexed endpoint pairs),
 # added on top of the 32-cycle.  Every vertex sits on exactly one chord,
@@ -49,22 +59,59 @@ class SpectralStats:
 class MixingMatrix:
     """Doubly stochastic gossip weight matrix over ``n`` agents.
 
-    ``weights[i, j] > 0`` iff ``{i, j}`` is an edge or ``i == j``;
-    all built-in topologies include a positive self-loop.
+    ``weights[i, j] != 0`` iff ``{i, j}`` is an edge or ``i == j``;
+    all built-in topologies include a positive self-loop.  A neighbour
+    table is built once from ``edges``: row i of ``peers`` is agent i
+    followed by its neighbours in ascending order, padded with i up to
+    the largest degree.  ``mix`` reads the table's entries of ``weights``
+    at call time, so ``weights`` may be changed or reassigned as long as
+    its nonzero pattern stays that of ``edges``.  The gather holds an
+    (n, 1 + max degree, d) array: it suits sparse graphs.
     """
 
     n: int
     weights: np.ndarray
     edges: list[tuple[int, int]]
     spectral: SpectralStats | None = field(default=None, compare=False)
+    peers: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    gather: bool = field(init=False, repr=False, compare=False)
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    real: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        flat = itertools.chain.from_iterable(self.edges)
+        ends = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        self.degrees = np.bincount(src, minlength=n)
+        width = 1 + int(self.degrees.max(initial=0))
+        self.gather = n >= GATHER_MIN_N
+        # column of each edge within its row: 1 + rank among the row's edges
+        row_start = np.cumsum(self.degrees) - self.degrees
+        col = 1 + np.arange(len(src)) - np.repeat(row_start, self.degrees)
+        self.peers = np.repeat(np.arange(n)[:, None], width, axis=1)
+        self.peers[src, col] = dst
+        # flat index of weights[i, peers[i, k]]; ``real`` is 0 on padding
+        self.slots = self.peers + n * np.arange(n)[:, None]
+        self.real = (np.arange(width) <= self.degrees[:, None]).astype(float)
+
+    def mix(self, X: np.ndarray) -> np.ndarray:
+        """W X: dense product below the gather crossover, neighbour gather above."""
+        if not self.gather:
+            return self.weights @ X
+        peer_weights = np.take(self.weights, self.slots) * self.real
+        return np.einsum("nk,nk...->n...", peer_weights, X[self.peers])
 
     def degree(self, i: int) -> int:
         """Number of neighbors of agent ``i``, excluding itself."""
-        return sum(1 for a, b in self.edges if i in (a, b))
+        return int(self.degrees[i])
 
     def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return sorted(out)
+        return self.peers[i, 1 : 1 + self.degrees[i]].tolist()
 
 
 @dataclass
@@ -78,17 +125,17 @@ class ValidationReport:
         return not self.violations
 
 
-def _ring_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, (i + 1) % n) for i in range(n)]
+def _ring_edges(n: int) -> np.ndarray:
+    i = np.arange(n)
+    return np.stack([i, (i + 1) % n], axis=1)
 
 
-def _matrix_from_edges(n: int, edges: list[tuple[int, int]], peers: int) -> np.ndarray:
+def _matrix_from_edges(n: int, ends: np.ndarray, peers: int) -> np.ndarray:
     w = np.zeros((n, n))
     v = 1.0 / peers
     np.fill_diagonal(w, v)
-    for a, b in edges:
-        w[a, b] = v
-        w[b, a] = v
+    w[ends[:, 0], ends[:, 1]] = v
+    w[ends[:, 1], ends[:, 0]] = v
     return w
 
 
@@ -112,16 +159,11 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
     if kind == "ring":
         if n < 3:
             raise ValueError(f"ring topology requires n >= 3, got n={n}")
-        edges = _ring_edges(n)
-        if n == 3:
-            # ring of 3 is the complete graph; drop duplicate edges
-            edges = [(0, 1), (1, 2), (0, 2)]
-        weights = _matrix_from_edges(n, edges, peers=3)
+        pairs, peers = _ring_edges(n), 3
     elif kind == "dyck":
         if n != 32:
             raise ValueError(f"dyck topology is a fixed graph on 32 agents, got n={n}")
-        edges = _ring_edges(32) + list(_DYCK_CHORDS)
-        weights = _matrix_from_edges(n, edges, peers=4)
+        pairs, peers = np.concatenate([_ring_edges(32), _DYCK_CHORDS]), 4
     elif kind == "torus":
         rows, cols = grid if grid is not None else _square_grid(n)
         if rows * cols != n:
@@ -130,31 +172,26 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
             raise ValueError(
                 f"torus requires both grid dimensions >= 3, got {rows}x{cols}"
             )
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                i = r * cols + c
-                edges.append((i, r * cols + (c + 1) % cols))
-                edges.append((i, ((r + 1) % rows) * cols + c))
-        edges = sorted({(min(a, b), max(a, b)) for a, b in edges})
-        weights = _matrix_from_edges(n, edges, peers=5)
+        i = np.arange(n)
+        r, c = np.divmod(i, cols)
+        right = r * cols + (c + 1) % cols
+        down = ((r + 1) % rows) * cols + c
+        pairs, peers = np.concatenate([np.stack([i, right], 1), np.stack([i, down], 1)]), 5
     else:
         raise ValueError(f"unknown topology kind {kind!r}; expected ring, dyck or torus")
-    edges = sorted({(min(a, b), max(a, b)) for a, b in edges})
-    return MixingMatrix(n=n, weights=weights, edges=edges)
+    # undirected edges as (min, max) pairs in ascending order; the built-in
+    # families have no repeated edge, and np.unique costs ~1.3 MB peak RSS
+    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    ends = np.stack(np.divmod(keys, n), axis=1)
+    edges = list(map(tuple, ends.tolist()))
+    return MixingMatrix(n=n, weights=_matrix_from_edges(n, ends, peers), edges=edges)
 
 
 def as_mixing(weights: np.ndarray) -> MixingMatrix:
-    """Wrap a raw weight matrix, deriving edges from positive off-diagonals."""
+    """Wrap a raw weight matrix, deriving edges from nonzero off-diagonals."""
     w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[i, j] > 0 or w[j, i] > 0
-    ]
-    return MixingMatrix(n=n, weights=w, edges=edges)
+    i, j = np.nonzero(np.triu((w != 0) | (w.T != 0), 1))
+    return MixingMatrix(n=w.shape[0], weights=w, edges=list(zip(i.tolist(), j.tolist())))
 
 
 def spectral_stats(mixing: MixingMatrix) -> SpectralStats:

@@ -1,0 +1,150 @@
+"""Exit codes, divergent equivalence runs and the ``python -m`` entry point."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import decentrack
+from decentrack import harness
+from decentrack.algorithms import AlgorithmSpec, DivergenceError
+from decentrack.cli import main as cli_main
+from decentrack.harness import check_equivalence
+from decentrack.models import SyntheticProblemSpec, make_quadratic
+from decentrack.topology import build_topology
+
+SRC = Path(decentrack.__file__).resolve().parents[1]
+
+
+def run_module(args, blas_threads=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(blas_threads)
+    return subprocess.run(
+        [sys.executable, "-m", "decentrack.cli", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestDivergence:
+    def test_divergence_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise DivergenceError(3, 7)
+
+        monkeypatch.setattr(harness, "check_equivalence", diverge)
+        code = cli_main(["equivalence", f"--run.output_dir={tmp_path}"])
+        assert code == 2
+        assert "agent 3, round 7" in capsys.readouterr().err
+
+    def test_equivalence_compares_diverging_run_up_to_blow_up(self):
+        W = build_topology("ring", 8)
+        problem = make_quadratic(
+            SyntheticProblemSpec(kind="quadratic", d=4, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
+        )
+        report = check_equivalence(
+            W, problem, AlgorithmSpec(kind="GUT", eta=0.05, mu=0.9), T=3000, tol=1e-8
+        )
+        assert 0 < report.rounds < 3000
+        assert set(report.diverged_at.values()) == {report.rounds}
+        assert report.passed
+        assert set(report.per_form) == {"GUT-matrix", "GUT-bias", "GUT-memeff"}
+
+    def test_stable_run_compares_all_rounds(self):
+        W = build_topology("ring", 8)
+        problem = make_quadratic(
+            SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
+        )
+        report = check_equivalence(W, problem, AlgorithmSpec(kind="GUT", eta=0.05, mu=0.1), T=30)
+        assert report.rounds == 30
+        assert set(report.diverged_at.values()) == {None}
+
+    @pytest.mark.parametrize(
+        "diverging,at,rounds,failed",
+        [
+            ({"GUT-memeff"}, 5, 30, {"GUT-memeff"}),
+            ({"GUT"}, 5, 5, {"GUT-matrix", "GUT-bias", "GUT-memeff"}),
+            ({"GUT", "GUT-matrix", "GUT-bias", "GUT-memeff"}, 0, 0,
+             {"GUT-matrix", "GUT-bias", "GUT-memeff"}),
+        ],
+        ids=["one-form", "reference-only", "all-in-round-0"],
+    )
+    def test_divergence_in_another_round_fails(self, monkeypatch, diverging, at, rounds, failed):
+        run_round = harness.run_round
+
+        def failing_run_round(state, W, spec, oracle):
+            if spec.kind in diverging and state.round == at:
+                raise DivergenceError(0, state.round)
+            return run_round(state, W, spec, oracle)
+
+        monkeypatch.setattr(harness, "run_round", failing_run_round)
+        W = build_topology("ring", 8)
+        problem = make_quadratic(
+            SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
+        )
+        report = check_equivalence(W, problem, AlgorithmSpec(kind="GUT", eta=0.05, mu=0.1), T=30)
+        assert report.rounds == rounds
+        assert {k for k, v in report.per_form.items() if v == math.inf} == failed
+        assert not report.passed
+        assert {k for k, v in report.diverged_at.items() if v is not None} == diverging
+
+    def test_cli_reports_rounds_and_fails_on_lone_divergence(self, tmp_path, monkeypatch, capsys):
+        run_round = harness.run_round
+
+        def failing_run_round(state, W, spec, oracle):
+            if spec.kind == "GUT-bias" and state.round == 7:
+                raise DivergenceError(0, state.round)
+            return run_round(state, W, spec, oracle)
+
+        monkeypatch.setattr(harness, "run_round", failing_run_round)
+        assert cli_main(["equivalence", f"--run.output_dir={tmp_path}"]) == 3
+        assert "> 1e-08 rounds=100" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "equivalence.json").read_text())
+        assert doc["diverged_at"]["GUT-bias"] == 7 and doc["diverged_at"]["GUT"] is None
+        assert doc["passed"] is False
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_subcommand(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_module(["topology", "--topology.n=8", f"--run.output_dir={out}"])
+        assert proc.returncode == 0, proc.stderr
+        assert "topology ring n=8" in proc.stdout
+        assert (out / "matrix.csv").read_text().count("\n") == 8
+        assert (out / "spectral.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "args,csvs",
+    [
+        (
+            [
+                "consensus", "--topology.n=1024", "--consensus.method=gut",
+                "--algorithm.mu=0.15", "--run.rounds=50",
+            ],
+            ["consensus_trace.csv"],
+        ),
+        (
+            [
+                "train", "--algorithm.kind=QG-GUTm", "--algorithm.mu=0.05",
+                "--problem.kind=quadratic", "--problem.zeta=1", "--problem.sigma=0.1",
+                "--run.rounds=50", "--run.seeds=1,2",
+            ],
+            ["trace_seed1.csv", "trace_seed2.csv"],
+        ),
+    ],
+    ids=["consensus-ring1024", "train-quadratic"],
+)
+def test_traces_independent_of_blas_threads(tmp_path, args, csvs):
+    blobs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        proc = run_module([*args, f"--run.output_dir={out}"], blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(b"".join((out / name).read_bytes() for name in csvs))
+    assert blobs[0] == blobs[1]
