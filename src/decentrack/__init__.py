@@ -33,9 +33,7 @@ from .models import (
     Batch,
     Problem,
     SyntheticProblemSpec,
-    evaluate,
     finite_diff_check,
-    loss_and_grad,
     make_oracle,
     make_problem,
     make_quadratic,
@@ -74,10 +72,8 @@ __all__ = [
     "comm_cost",
     "consensus_error",
     "dirichlet_partition",
-    "evaluate",
     "finite_diff_check",
     "init_states",
-    "loss_and_grad",
     "make_oracle",
     "make_problem",
     "make_quadratic",

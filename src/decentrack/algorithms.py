@@ -14,9 +14,12 @@ trajectories can be cross-checked:
 * ``GUT-bias``    the bias-correction form X' = WX - eta*(G + mu*B),
 * ``GUT-memeff``  O(1) extra memory, keeping only the running aggregate s.
 
-The gradient oracle is ``oracle(agent, params, round) -> (loss, grad)``
-and must be deterministic in (agent, round) so trajectories can be
-replayed across formulations.
+The gradient oracle is called once per round for all agents:
+``oracle(X, round) -> (losses, G)`` with ``X`` and ``G`` of shape
+``(n, d)`` (row i is agent i) and ``losses`` of shape ``(n,)``.  Row i of
+``G`` may depend only on row i of ``X``, i and the round, so trajectories
+can be replayed across formulations.  The oracle must not write into
+``X``, and ``G`` must be a fresh array: rounds keep it in the state.
 """
 
 from __future__ import annotations
@@ -180,10 +183,6 @@ def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> State:
     return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
 
 
-def _gradients(oracle, points: np.ndarray, rnd: int) -> np.ndarray:
-    return np.stack([oracle(i, points[i], rnd)[1] for i in range(len(points))])
-
-
 def gut_round(st: State, W, spec, oracle) -> State:
     """One tracked-update round (per-agent recursion with neighbor copies).
 
@@ -194,7 +193,7 @@ def gut_round(st: State, W, spec, oracle) -> State:
     eta = spec.lr(st.round)
     mu = spec.mu
     X, S = st.X, st.S
-    G = _gradients(oracle, S, st.round)
+    G = oracle(S, st.round)[1]
     disp = S - X
     delta = G - disp / eta
     corr = W.mix(st.Y) - disp / eta - st.D
@@ -212,13 +211,13 @@ def gut_form_round(st: State, W, spec, oracle, form: str) -> State:
     mu = spec.mu
     X, S = st.X, st.S
     if form == "matrix":
-        G = _gradients(oracle, S, rnd)
+        G = oracle(S, rnd)[1]
         delta = G - (S - X) / eta
         Y = delta + mu * (W.mix(st.Y) - (S - X) / eta - st.D)
         Xn = X - eta * Y
         return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
     if form == "bias":
-        G = _gradients(oracle, S, rnd)
+        G = oracle(S, rnd)[1]
         Xn = S - eta * (G + mu * st.B)
         Bn = -((2.0 * W.mix(Xn - X) - (Xn - X)) + eta * G) / eta
         Y = (X - Xn) / eta
@@ -226,7 +225,7 @@ def gut_form_round(st: State, W, spec, oracle, form: str) -> State:
         return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta, B=Bn)
     if form == "memeff":
         # S is the incrementally maintained aggregate, never recomputed
-        G = _gradients(oracle, S, rnd)
+        G = oracle(S, rnd)[1]
         disp = S - X
         delta = G - disp / eta
         Y = delta + mu * (W.mix(st.Y) - disp / eta - st.D)
@@ -248,7 +247,7 @@ def qg_gutm_round(st: State, W, spec, oracle) -> State:
     eta = spec.lr(rnd)
     mu, beta = spec.mu, spec.beta
     X, S, Mp = st.X, st.S, st.M
-    G = _gradients(oracle, S, rnd)
+    G = oracle(S, rnd)[1]
     disp = S - X
     delta = G - disp / eta
     scale = (1.0 + beta) if kind == "QG-GUTm-impl" else 1.0
@@ -279,7 +278,7 @@ def baseline_round(st: State, W, spec, oracle) -> State:
     eta = spec.lr(rnd)
     beta = spec.beta
     X, Mp = st.X, st.M
-    G = _gradients(oracle, X, rnd)
+    G = oracle(X, rnd)[1]
     if kind == "DSGD":
         M = Mp
         Xn = W.mix(X - eta * G)
@@ -311,7 +310,7 @@ def gradient_tracking_round(st: State, W, spec, oracle) -> State:
     rnd = st.round
     eta = spec.lr(rnd)
     X = st.X
-    G = _gradients(oracle, X, rnd)
+    G = oracle(X, rnd)[1]
     Y = G if rnd == 0 else W.mix(st.Y) - st.D + G
     Xn = W.mix(X - eta * Y)
     return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=G)
@@ -327,7 +326,7 @@ def rule_round(st: State, W, spec, oracle) -> State:
     eta = spec.lr(rnd)
     mu = spec.mu
     X, S = st.X, st.S
-    G = _gradients(oracle, S, rnd)
+    G = oracle(S, rnd)[1]
     disp = S - X
     delta = G - disp / eta
     if spec.kind == "RuleA":

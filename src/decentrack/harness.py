@@ -218,12 +218,12 @@ def run_training(
         x0 = x0_scale * rng.standard_normal(d)
         X0 = np.tile(x0, (W.n, 1))
         base_oracle = models.make_oracle(problem, batch_size, seed=seed)
-        round_losses: list[float] = []
+        round_losses: list[np.ndarray] = []
 
-        def oracle(agent, params, rnd):
-            loss, grad = base_oracle(agent, params, rnd)
-            round_losses.append(loss)
-            return loss, grad
+        def oracle(X, rnd):
+            losses, G = base_oracle(X, rnd)
+            round_losses.append(losses)
+            return losses, G
 
         states = init_states(X0, W, spec)
         rows: list[TraceRow] = []

@@ -10,11 +10,14 @@ Three problem families share one gradient-oracle interface:
 
 All stochastic draws are keyed by (seed, agent, round) substreams, so a
 trajectory is a pure function of its configuration and independent of
-evaluation order.
+evaluation order.  ``make_oracle`` serves every agent in one call per
+round; the per-agent ``draw_batch`` / ``loss_and_grad`` methods are its
+reference.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +31,9 @@ __all__ = [
     "MlpProblem",
     "make_problem",
     "make_quadratic",
-    "loss_and_grad",
     "finite_diff_check",
-    "evaluate",
     "make_oracle",
+    "substreams",
 ]
 
 
@@ -73,6 +75,102 @@ def _substream_rng(substream: tuple[int, int, int]) -> np.random.Generator:
     )
 
 
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"substream keys must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _spawned_state_words(seed: int, agents: np.ndarray, rnd: int) -> np.ndarray:
+    """Row i: ``SeedSequence(entropy=seed, spawn_key=(agents[i], rnd)).generate_state(4, np.uint64)``.
+
+    Replays SeedSequence's entropy mixing and state generation with one
+    uint32 lane per agent.  Words shared by all agents stay Python ints,
+    masked to 32 bits, so only what depends on the agent runs on arrays
+    (whose uint32 arithmetic wraps like the C code).
+    """
+    if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
+        raise ValueError("substream agents must lie in [0, 2**32)")
+    # a spawn key makes SeedSequence pad the run entropy to the pool size,
+    # so the entropy always outgrows the pool and the agent word sits past it
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = run + [agents.astype(np.uint32)] + _uint32_words(rnd)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    words = np.empty((len(agents), 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words[:, i] = value ^ (value >> 16)
+    # uint64 output reads the uint32 words as little-endian pairs
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(
+                f"precomputed {len(self.words)} {self.words.dtype} words,"
+                f" asked for {n_words} {np.dtype(dtype)}"
+            )
+        return self.words
+
+
+def substreams(seed: int, agents, rnd: int):
+    """Yield ``(agent, rng)`` for each agent, ``rng`` seeded by its (seed, agent, rnd) key.
+
+    ``rng`` draws exactly what
+    ``np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(agent, rnd)))``
+    draws, but the seed hashing of all agents runs in one vectorised pass;
+    PCG64 is then seeded from the hashed words by numpy itself.
+    """
+    agents = np.asarray(agents, dtype=np.int64).reshape(-1)
+    for agent, words in zip(agents.tolist(), _spawned_state_words(seed, agents, rnd)):
+        yield agent, np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 class Problem:
     """Common interface: per-agent stochastic losses over shared parameters."""
 
@@ -96,6 +194,21 @@ class Problem:
     ) -> tuple[float, np.ndarray]:
         """Full-data, noise-free local objective (for checks and references)."""
         raise NotImplementedError
+
+    def batched_oracle(self, batch_size: int | None, seed: int):
+        """The oracle ``make_oracle`` returns; arguments already validated."""
+        raise NotImplementedError
+
+    def _check_params(self, X: np.ndarray) -> None:
+        if X.shape != (self.n_agents, self.dim):
+            raise ValueError(
+                f"oracle expects ({self.n_agents}, {self.dim}) parameters, got {X.shape}"
+            )
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite parameters supplied to agent {int(np.argmin(finite))}"
+            )
 
     def global_loss(self, params: np.ndarray) -> float:
         return float(
@@ -157,6 +270,20 @@ class QuadraticProblem(Problem):
         diff = params - self.b[agent]
         return 0.5 * float(diff @ diff), diff.copy()
 
+    def batched_oracle(self, batch_size, seed):
+        def oracle(X, rnd):
+            self._check_params(X)
+            diff = X - self.b
+            losses = 0.5 * np.einsum("ij,ij->i", diff, diff)
+            if self.sigma > 0:
+                noise = np.empty_like(diff)
+                for agent, rng in substreams(seed, np.arange(self.n_agents), rnd):
+                    rng.standard_normal(out=noise[agent])
+                diff = diff + self.sigma * noise
+            return losses, diff
+
+        return oracle
+
     def global_loss(self, params):
         diff = params - self.x_star
         return 0.5 * float(diff @ diff) + self.f_star
@@ -194,6 +321,9 @@ class _ClassificationProblem(Problem):
             idx = rng.permutation(spec.n_samples)
             assignments = [a for a in np.array_split(idx, spec.n_agents)]
         self.assignments = [np.asarray(a) for a in assignments]
+        for agent, local in enumerate(self.assignments):
+            if len(local) == 0:
+                raise ValueError(f"agent {agent} is assigned no samples")
 
     def draw_batch(self, agent, rnd, batch_size=None, seed=None):
         key = (self.seed if seed is None else seed, agent, rnd)
@@ -209,6 +339,37 @@ class _ClassificationProblem(Problem):
 
     def _predict(self, feats, params):
         raise NotImplementedError
+
+    def batched_oracle(self, batch_size, seed):
+        # row i of the index table is agent i's batch, its first counts[i]
+        # entries; full local sets are fixed, minibatches redrawn per round
+        sizes = np.array([len(local) for local in self.assignments])
+        counts = sizes if batch_size is None else np.minimum(sizes, batch_size)
+        sampled = np.flatnonzero(counts < sizes)
+        table = np.zeros((len(sizes), counts.max()), dtype=np.intp)
+        for agent, local in enumerate(self.assignments):
+            if counts[agent] == sizes[agent]:
+                table[agent, : sizes[agent]] = local
+
+        def oracle(X, rnd):
+            self._check_params(X)
+            for agent, rng in substreams(seed, sampled, rnd):
+                local = self.assignments[agent]
+                table[agent] = local[rng.integers(0, len(local), size=batch_size)]
+            return self._stacked_loss_grad(table, counts, X)
+
+        return oracle
+
+    def _stacked_loss_grad(self, table, counts, X):
+        """Per-agent (losses, grads) on the batches ``table[i, :counts[i]]``."""
+        losses = np.empty(len(X))
+        grads = np.empty_like(X)
+        for agent, (row, m) in enumerate(zip(table, counts)):
+            idx = row[:m]
+            losses[agent], grads[agent] = self._batch_loss_grad(
+                self.features[idx], self.labels[idx], X[agent]
+            )
+        return losses, grads
 
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
@@ -229,9 +390,9 @@ class _ClassificationProblem(Problem):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class SoftmaxProblem(_ClassificationProblem):
@@ -254,6 +415,23 @@ class SoftmaxProblem(_ClassificationProblem):
         probs[np.arange(m), labels] -= 1.0
         grad = (probs.T @ feats) / m
         return loss, grad.ravel()
+
+    def _stacked_loss_grad(self, table, counts, X):
+        # batched matmuls over (agents, batch, .) stacks; padding rows of the
+        # table are masked out of the loss and the gradient
+        n, width = table.shape
+        k, d = self.spec.n_classes, self.spec.d
+        mask = np.arange(width) < counts[:, None]
+        feats = self.features[table]
+        labels = self.labels[table]
+        probs = _softmax(feats @ X.reshape(n, k, d).transpose(0, 2, 1))
+        agent, row = np.ogrid[:n, :width]
+        log_true = np.log(probs[agent, row, labels] + 1e-300)
+        losses = -np.sum(log_true * mask, axis=1) / counts
+        probs[agent, row, labels] -= 1.0
+        probs *= mask[:, :, None]
+        grads = (probs.transpose(0, 2, 1) @ feats) / counts[:, None, None]
+        return losses, grads.reshape(n, k * d)
 
     def _predict(self, feats, params):
         return np.argmax(feats @ self._unpack(params).T, axis=1)
@@ -314,10 +492,6 @@ def make_problem(spec: SyntheticProblemSpec, assignments=None) -> Problem:
     return MlpProblem(spec, assignments)
 
 
-def loss_and_grad(problem: Problem, agent: int, params: np.ndarray, batch: Batch):
-    return problem.loss_and_grad(agent, params, batch)
-
-
 def finite_diff_check(
     problem: Problem, params: np.ndarray, eps: float = 1e-5, agent: int = 0
 ) -> float:
@@ -340,21 +514,18 @@ def finite_diff_check(
     return worst
 
 
-def evaluate(problem: Problem, params: np.ndarray) -> tuple[float, float | None]:
-    """Deterministic test-set loss (and accuracy for classification kinds)."""
-    return problem.evaluate(params)
-
-
 def make_oracle(problem: Problem, batch_size: int | None = None, seed: int | None = None):
-    """Gradient oracle (agent, params, round) -> (loss, grad).
+    """Gradient oracle ``(X, round) -> (losses, G)``, one call per round.
 
-    Batches and noise are keyed by (seed, agent, round) substreams, with
-    ``seed`` defaulting to the problem seed, so replaying the same
-    configuration reproduces the gradient stream exactly.
+    ``X`` is ``(n_agents, dim)`` with agent i's parameters in row i;
+    ``losses`` is ``(n_agents,)`` and ``G`` is ``(n_agents, dim)``.  Row i
+    is agent i's ``loss_and_grad`` on ``draw_batch(i, round, batch_size,
+    seed)``: batches and noise come from the same (seed, agent, round)
+    substreams, with ``seed`` defaulting to the problem seed, so replaying
+    a configuration reproduces the gradient stream exactly.  ``batch_size``
+    None means full local batches; an agent whose local set is no larger
+    than the batch uses all of it.
     """
-
-    def oracle(agent: int, params: np.ndarray, rnd: int):
-        batch = problem.draw_batch(agent, rnd, batch_size, seed=seed)
-        return problem.loss_and_grad(agent, params, batch)
-
-    return oracle
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1 (or None), got {batch_size}")
+    return problem.batched_oracle(batch_size, problem.seed if seed is None else seed)

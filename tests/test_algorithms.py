@@ -17,16 +17,16 @@ from decentrack.topology import as_mixing, build_topology
 UNIFORM2 = as_mixing(np.full((2, 2), 0.5))
 
 
-def zero_oracle(agent, params, rnd):
-    return 0.0, np.zeros_like(params)
+def zero_oracle(X, rnd):
+    return np.zeros(len(X)), np.zeros_like(X)
 
 
 def quad_oracle(b):
     b = np.asarray(b, dtype=float)
 
-    def oracle(agent, params, rnd):
-        diff = params - b[agent]
-        return 0.5 * float(diff @ diff), diff
+    def oracle(X, rnd):
+        diff = X - b
+        return 0.5 * np.sum(diff * diff, axis=1), diff
 
     return oracle
 
@@ -223,8 +223,8 @@ class TestGradientTracking:
         # y^1 = W g - g + g = mean gradient at both agents (uniform n=2 mix)
         g = np.array([[3.0], [-1.0]])
 
-        def oracle(agent, params, rnd):
-            return 0.0, g[agent].copy()
+        def oracle(X, rnd):
+            return np.zeros(len(X)), g.copy()
 
         spec = AlgorithmSpec(kind="GT", eta=0.1)
         states = init_states(np.array([[0.0], [2.0]]), UNIFORM2, spec)

@@ -145,6 +145,17 @@ class TestTrainSubcommand:
         svg = (out / "train.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_empty_batch_is_config_error(self, tmp_path, capsys):
+        assert run_cli("train", "--run.batch=0", f"--run.output_dir={tmp_path}") == 1
+        assert "batch_size" in capsys.readouterr().err
+
+    def test_agent_without_samples_is_config_error(self, tmp_path, capsys):
+        assert run_cli(
+            "train", "--partition.min_per_agent=0", "--partition.alpha=0.01",
+            "--topology.n=64", "--problem.samples=100", f"--run.output_dir={tmp_path}",
+        ) == 1
+        assert "no samples" in capsys.readouterr().err
+
 
 class TestEquivalenceSubcommand:
     def test_default_passes(self, tmp_path, capsys):

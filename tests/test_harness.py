@@ -175,7 +175,7 @@ class TestAgainstReferenceRecursions:
         states = init_states(X0, W, spec)
         max_dev = 0.0
         for t in range(1, 11):
-            states = run_round(states, W, spec, lambda a, p, r: (0.0, np.zeros_like(p)))
+            states = run_round(states, W, spec, lambda X, r: (np.zeros(len(X)), np.zeros_like(X)))
             X = np.stack([st.x for st in states])
             max_dev = max(max_dev, float(np.max(np.abs(X - trace_states[t]))))
         assert max_dev > 1e-3

@@ -192,9 +192,9 @@ class TestNeighbourTable:
 
 
 def quad_oracle(b):
-    def oracle(agent, params, rnd):
-        diff = params - b[agent]
-        return 0.5 * float(diff @ diff), diff
+    def oracle(X, rnd):
+        diff = X - b
+        return 0.5 * np.sum(diff * diff, axis=1), diff
 
     return oracle
 

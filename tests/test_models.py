@@ -4,9 +4,7 @@ import pytest
 from decentrack.models import (
     Batch,
     SyntheticProblemSpec,
-    evaluate,
     finite_diff_check,
-    loss_and_grad,
     make_oracle,
     make_problem,
     make_quadratic,
@@ -58,7 +56,7 @@ class TestQuadratic:
         prob = make_quadratic(quad_spec(n_agents=2, d=1, zeta=0.0))
         prob.b = np.array([[1.0], [1.0]])
         batch = prob.draw_batch(0, rnd=0)
-        loss, grad = loss_and_grad(prob, 0, np.array([2.0]), batch)
+        loss, grad = prob.loss_and_grad(0, np.array([2.0]), batch)
         assert (loss, grad[0]) == (0.5, 1.0)
 
     def test_smoothness_exact(self):
@@ -100,10 +98,10 @@ class TestNoiseSubstreams:
 
     def test_oracle_seed_changes_stream(self):
         prob = make_quadratic(quad_spec(sigma=0.3))
-        x = np.zeros(prob.dim)
+        X = np.zeros((prob.n_agents, prob.dim))
         o1 = make_oracle(prob, seed=1)
         o2 = make_oracle(prob, seed=2)
-        assert not np.array_equal(o1(0, x, 0)[1], o2(0, x, 0)[1])
+        assert not np.array_equal(o1(X, 0)[1][0], o2(X, 0)[1][0])
 
     def test_unbiased_gradient(self):
         sigma = 0.1
@@ -138,7 +136,7 @@ class TestClassification:
         # unit-norm class means as prototypes: with negligible noise the
         # argmax over cosine scores recovers every label
         w = prob._means / np.linalg.norm(prob._means, axis=1, keepdims=True)
-        _, acc = evaluate(prob, w.ravel())
+        _, acc = prob.evaluate(w.ravel())
         assert acc == 1.0
 
     def test_random_predictor_chance_level(self):
@@ -146,13 +144,13 @@ class TestClassification:
         prob = make_problem(spec)
         rng = np.random.default_rng(0)
         accs = [
-            evaluate(prob, 1e-6 * rng.standard_normal(prob.dim))[1] for _ in range(20)
+            prob.evaluate(1e-6 * rng.standard_normal(prob.dim))[1] for _ in range(20)
         ]
         assert np.mean(accs) == pytest.approx(0.1, abs=0.05)
 
     def test_quadratic_reports_no_accuracy(self):
         prob = make_quadratic(quad_spec())
-        loss, acc = evaluate(prob, np.zeros(prob.dim))
+        loss, acc = prob.evaluate(np.zeros(prob.dim))
         assert acc is None
         assert loss == prob.global_loss(np.zeros(prob.dim))
 
