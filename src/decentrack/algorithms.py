@@ -39,6 +39,8 @@ __all__ = [
     "DivergenceError",
     "HyperparameterCheck",
     "State",
+    "check_mu_beta",
+    "check_start",
     "init_states",
     "run_round",
     "gut_round",
@@ -92,6 +94,24 @@ class AgentState:
     round: int = 0
 
 
+def check_mu_beta(mu: float, beta: float) -> None:
+    """Raise ValueError unless the tracking weight mu and momentum beta lie in [0, 1)."""
+    if not 0 <= mu < 1:
+        raise ValueError(f"mu must lie in [0, 1), got {mu}")
+    if not 0 <= beta < 1:
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+
+
+def check_start(X0: np.ndarray, W: MixingMatrix) -> np.ndarray:
+    """A C-ordered float copy of X0; ValueError unless it is finite and (W.n, d)."""
+    X0 = np.array(X0, dtype=float, order="C")
+    if X0.ndim != 2 or X0.shape[0] != W.n:
+        raise ValueError(f"X0 must be ({W.n}, d), got shape {X0.shape}")
+    if not np.all(np.isfinite(X0)):
+        raise ValueError("X0 must be finite")
+    return X0
+
+
 @dataclass
 class AlgorithmSpec:
     """Update rule selection plus its hyperparameters."""
@@ -108,10 +128,7 @@ class AlgorithmSpec:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if not 0 <= self.mu < 1:
-            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
-        if not 0 <= self.beta < 1:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        check_mu_beta(self.mu, self.beta)
 
     def lr(self, rnd: int) -> float:
         eta = self.eta_schedule(rnd) if self.eta_schedule is not None else self.eta
@@ -174,11 +191,7 @@ class State:
 
 def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> State:
     """Initial state: S = W X0, x_prev = X0, all other buffers zero."""
-    X0 = np.array(X0, dtype=float, order="C")
-    if X0.ndim != 2 or X0.shape[0] != W.n:
-        raise ValueError(f"X0 must be ({W.n}, d), got shape {X0.shape}")
-    if not np.all(np.isfinite(X0)):
-        raise ValueError("X0 must be finite")
+    X0 = check_start(X0, W)
     Y, D, M, B = (np.zeros_like(X0) for _ in range(4))
     return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
 

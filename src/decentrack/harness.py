@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .algorithms import AlgorithmSpec, DivergenceError, comm_cost, init_states, run_round
+from .algorithms import AlgorithmSpec, DivergenceError, check_mu_beta, check_start
+from .algorithms import comm_cost, init_states, run_round
 from .topology import MixingMatrix
 
 __all__ = [
@@ -113,16 +114,19 @@ def run_consensus(
     ``gut``: X' = X + Y with Y = (W-I)X + mu*[W Y_prev - (W-I)(X_prev - X)].
     ``qg-gutm`` additionally filters the applied update through a
     momentum buffer built from realized displacements.  ``gossip`` and
-    ``qg-gossip`` are the mu = 0 special cases.  Each round the agents
-    exchange one d-vector per neighbor.
+    ``qg-gossip`` are the mu = 0 special cases.  The update applied last
+    round is X - X_prev, so W Y_prev = W X - W X_prev: carrying W X_prev
+    and (W-I) X_prev over leaves one product with W per round, the one
+    d-vector each agent sends to each neighbor.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    check_mu_beta(mu, beta)
     if method in ("gossip", "qg-gossip"):
         mu = 0.0
-    X = np.asarray(X0, dtype=float).copy()
+    X = check_start(X0, W)
     n, d = X.shape
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
     rows = [TraceRow(round=0, consensus_error=consensus_error(X), comm_scalars=0)]
@@ -130,10 +134,8 @@ def run_consensus(
     if on_round is not None:
         on_round(0, X)
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
-    Xp, WXp = X, None
-    Yp = np.zeros_like(X)
+    Xp, WXp, DXp = X, None, None
     M = np.zeros_like(X)
-    Mhat = np.zeros_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
     # divergence at aggressive mu is an intended experimental condition;
@@ -141,22 +143,19 @@ def run_consensus(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             WX = W.mix(X)
-            WXp = WX if WXp is None else WXp
-            mix_prev = (WXp - Xp) - (WX - X)  # (W - I)(X_prev - X)
+            DX = WX - X  # (W - I) X
+            if WXp is None:
+                WXp, DXp = WX, DX
+            bracket = (WX - WXp) - (DXp - DX)  # W Y_prev - (W - I)(X_prev - X)
             if not use_momentum:
-                bracket = W.mix(Yp) - mix_prev
-                Y = (WX - X) + mu * bracket
                 Xn = WX + mu * bracket
-                Yp = Y
             else:
                 M = beta * M + (1.0 - beta) * (X - Xp)
-                inner = (WX - X) + mu * (W.mix(Mhat) - mix_prev)
-                Mhat = beta * M + (1.0 - beta) * inner
-                Xn = X + Mhat
+                Xn = X + (beta * M + (1.0 - beta) * (DX + mu * bracket))
             if not np.all(np.isfinite(Xn)):
                 divergent = True
                 break
-            Xp, X, WXp = X, Xn, WX
+            Xp, X, WXp, DXp = X, Xn, WX, DX
             rows.append(
                 TraceRow(
                     round=t,
@@ -208,6 +207,10 @@ def run_training(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     if decay and spec.eta_schedule is None:
         spec = dataclasses.replace(spec, eta_schedule=decayed_schedule(spec.eta, T))
     d = problem.dim
@@ -265,16 +268,10 @@ def run_training(
             "problem": problem.kind,
         }
         traces.append(MetricTrace(rows=rows, meta=meta, divergent=divergent))
-    finals_loss = [
-        tr.final_row().avg_model_loss
-        for tr in traces
-        if not tr.divergent and tr.rows and tr.final_row().avg_model_loss is not None
-    ]
-    finals_acc = [
-        tr.final_row().avg_model_accuracy
-        for tr in traces
-        if not tr.divergent and tr.rows and tr.final_row().avg_model_accuracy is not None
-    ]
+    # T >= 1, so a run that did not diverge evaluated its final row
+    finals = [tr.final_row() for tr in traces if not tr.divergent]
+    finals_loss = [r.avg_model_loss for r in finals]
+    finals_acc = [r.avg_model_accuracy for r in finals if r.avg_model_accuracy is not None]
     summary = {
         "seeds": list(seeds),
         "divergent": [tr.divergent for tr in traces],

@@ -101,10 +101,13 @@ class MixingMatrix:
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """W X: dense product below the gather crossover, neighbour gather above."""
+        if X.shape[0] != self.n:
+            raise ValueError(f"mix needs {self.n} rows, got shape {X.shape}")
         if not self.gather:
             return self.weights @ X
         peer_weights = np.take(self.weights, self.slots) * self.real
-        return np.einsum("nk,nk...->n...", peer_weights, X[self.peers])
+        # np.take builds the same array as X[self.peers], in about 2/3 of the time
+        return np.einsum("nk,nk...->n...", peer_weights, np.take(X, self.peers, axis=0))
 
     def degree(self, i: int) -> int:
         """Number of neighbors of agent ``i``, excluding itself."""

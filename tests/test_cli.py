@@ -111,6 +111,11 @@ class TestConsensusSubcommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["divergent"] is True
 
+    @pytest.mark.parametrize("flag", ["--algorithm.mu=1.5", "--algorithm.mu=-0.5"])
+    def test_mu_out_of_range_is_config_error(self, tmp_path, capsys, flag):
+        assert run_cli("consensus", flag, f"--run.output_dir={tmp_path}") == 1
+        assert "mu must lie in [0, 1)" in capsys.readouterr().err
+
 
 class TestTrainSubcommand:
     def test_traces_and_manifest_round_trip(self, tmp_path):
@@ -155,6 +160,19 @@ class TestTrainSubcommand:
             "--topology.n=64", "--problem.samples=100", f"--run.output_dir={tmp_path}",
         ) == 1
         assert "no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--run.rounds=0", "T must be >= 1, got 0"),
+            ("--run.rounds=-2", "T must be >= 1, got -2"),
+            ("--run.eval_every=0", "eval_every must be >= 1, got 0"),
+            ("--run.eval_every=-3", "eval_every must be >= 1, got -3"),
+        ],
+    )
+    def test_round_count_and_eval_interval_are_config_errors(self, tmp_path, capsys, flag, message):
+        assert run_cli("train", flag, f"--run.output_dir={tmp_path}") == 1
+        assert message in capsys.readouterr().err
 
 
 class TestEquivalenceSubcommand:
