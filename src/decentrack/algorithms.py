@@ -1,13 +1,17 @@
 """Synchronous-round update rules for decentralized optimization.
 
-Every rule is a pure transition ``(state, W, spec, oracle) -> state'``
-over the full agent population, held as one stacked ``State``.  The
-update-tracking family (GUT and its momentum variants) evaluates gradients
-at the gossip-mixed point ``s_i = sum_j w_ij x_j`` and transmits a single
-tracked update per round; the baselines evaluate at the local parameters.
-Every product with W goes through ``MixingMatrix.mix``.  Four algebraically
-equivalent formulations of the tracked update are provided so that their
-trajectories can be cross-checked:
+The rules are one table, ``RULES``: for each kind it names the point the
+gradient is taken at, the vectors each agent sends per round and the
+round's arithmetic.  ``run_round`` is the one frame around them: it reads
+the step size, calls the oracle once and applies the rule to one stacked
+``State`` of all agents.  The update-tracking family (GUT and its momentum
+variants) evaluates gradients at the gossip-mixed point
+``s_i = sum_j w_ij x_j`` and transmits a single vector per round; the
+baselines evaluate at the local parameters.  Nesterov look-ahead variants
+are kinds of their own (``DSGDmN``, ``QG-DSGDmN``, ``GUTmN``,
+``QG-GUTmN``).  Every product with W goes through ``MixingMatrix.mix``.
+Four algebraically equivalent formulations of the tracked update are
+provided so that their trajectories can be cross-checked:
 
 * ``GUT``         per-agent recursion with neighbor copies,
 * ``GUT-matrix``  the stacked two-line recursion X' = X - eta*Y,
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,24 +47,11 @@ __all__ = [
     "check_mu_beta",
     "check_start",
     "init_states",
+    "RULES",
     "run_round",
-    "gut_round",
-    "qg_gutm_round",
-    "baseline_round",
-    "gradient_tracking_round",
-    "rule_round",
-    "gut_form_round",
     "validate_hyperparameters",
     "comm_cost",
 ]
-
-KINDS = (
-    "DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN",
-    "GT",
-    "GUT", "GUTm", "GUTmN", "QG-GUTm", "QG-GUTmN", "QG-GUTm-impl",
-    "GUT-matrix", "GUT-bias", "GUT-memeff",
-    "RuleA", "RuleB",
-)
 
 GUT_FAMILY = ("GUT", "GUT-matrix", "GUT-bias", "GUT-memeff")
 
@@ -120,7 +112,6 @@ class AlgorithmSpec:
     eta: float
     mu: float = 0.0
     beta: float = 0.0
-    nesterov: bool = False
     eta_schedule: Callable[[int], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -136,12 +127,6 @@ class AlgorithmSpec:
             raise ValueError(f"eta schedule produced non-positive step at t={rnd}")
         return eta
 
-    def effective_kind(self) -> str:
-        kind = self.kind
-        if self.nesterov and kind in ("DSGDm", "QG-DSGDm", "GUTm", "QG-GUTm"):
-            kind += "N"
-        return kind
-
 
 @dataclass
 class State:
@@ -149,8 +134,10 @@ class State:
 
     Row i of ``X, S, Y, D, M, B, Xp`` is agent i's ``x, s, y_prev,
     delta_prev, m, bias, x_prev``.  ``len``, iteration and indexing give
-    per-agent ``AgentState`` views of the rows.  Rounds never write into
-    a state's arrays; each returns a new state.
+    per-agent ``AgentState`` views of the rows.  ``losses`` holds the
+    oracle's per-agent losses from the round that produced the state
+    (None initially).  Rounds never write into a state's arrays; each
+    returns a new state.
     """
 
     X: np.ndarray
@@ -161,6 +148,7 @@ class State:
     B: np.ndarray
     Xp: np.ndarray
     round: int = 0
+    losses: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -175,7 +163,7 @@ class State:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def advance(self, *, X, S, Y, D, M=None, B=None) -> State:
+    def advance(self, *, X, S, Y, D, M=None, B=None, losses=None) -> State:
         """The next round's state; raises DivergenceError on non-finite X."""
         finite = np.isfinite(X)
         if not finite.all():
@@ -186,6 +174,7 @@ class State:
             B=self.B if B is None else B,
             Xp=self.X,
             round=self.round + 1,
+            losses=losses,
         )
 
 
@@ -196,193 +185,165 @@ def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> State:
     return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
 
 
-def gut_round(st: State, W, spec, oracle) -> State:
-    """One tracked-update round (per-agent recursion with neighbor copies).
-
-    g is taken at the mixed point s_i; the transmitted update is
-    y = delta + mu * [W y_prev - (s - x)/eta - delta_prev] with
-    delta = g - (s - x)/eta, and x steps by -eta*y.
-    """
-    eta = spec.lr(st.round)
-    mu = spec.mu
-    X, S = st.X, st.S
-    G = oracle(S, st.round)[1]
-    disp = S - X
-    delta = G - disp / eta
-    corr = W.mix(st.Y) - disp / eta - st.D
-    Y = delta + mu * corr
-    # x - eta*y rearranged around the mixed point; reduces to W x - eta g
-    # exactly when mu = 0
-    Xn = S - eta * (G + mu * corr)
-    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
+# Each rule maps (state, W, G, eta, mu, beta) to the next state's arrays,
+# where G is the round's gradient, taken at the point its RULES entry names.
 
 
-def gut_form_round(st: State, W, spec, oracle, form: str) -> State:
-    """Alternative GUT formulations: ``matrix``, ``bias`` or ``memeff``."""
-    rnd = st.round
-    eta = spec.lr(rnd)
-    mu = spec.mu
-    X, S = st.X, st.S
-    if form == "matrix":
-        G = oracle(S, rnd)[1]
-        delta = G - (S - X) / eta
-        Y = delta + mu * (W.mix(st.Y) - (S - X) / eta - st.D)
-        Xn = X - eta * Y
-        return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
-    if form == "bias":
-        G = oracle(S, rnd)[1]
-        Xn = S - eta * (G + mu * st.B)
-        Bn = -((2.0 * W.mix(Xn - X) - (Xn - X)) + eta * G) / eta
-        Y = (X - Xn) / eta
-        delta = G - (S - X) / eta
-        return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta, B=Bn)
-    if form == "memeff":
-        # S is the incrementally maintained aggregate, never recomputed
-        G = oracle(S, rnd)[1]
-        disp = S - X
-        delta = G - disp / eta
-        Y = delta + mu * (W.mix(st.Y) - disp / eta - st.D)
-        Xn = X - eta * Y
-        return st.advance(X=Xn, S=S - eta * W.mix(Y), Y=Y, D=delta)
-    raise ValueError(f"unknown GUT form {form!r}")
+def _gossip_step(st, W, G, eta, Xn, M):
+    """The baselines' shared tail: Xn is already mixed, y the realized step."""
+    return dict(X=Xn, S=W.mix(Xn), Y=(st.X - Xn) / eta, D=G, M=M)
 
 
-def qg_gutm_round(st: State, W, spec, oracle) -> State:
-    """Tracked update combined with a momentum buffer.
-
-    Variants: QG-GUTm (exponential buffer, transmits m), QG-GUTm-impl
-    (accumulating buffer with a (1+beta)/eta correction scale), GUTm
-    (heavy-ball on the tracked update) and the Nesterov look-ahead
-    versions of the latter two.
-    """
-    kind = spec.effective_kind()
-    rnd = st.round
-    eta = spec.lr(rnd)
-    mu, beta = spec.mu, spec.beta
-    X, S, Mp = st.X, st.S, st.M
-    G = oracle(S, rnd)[1]
-    disp = S - X
-    delta = G - disp / eta
-    scale = (1.0 + beta) if kind == "QG-GUTm-impl" else 1.0
-    corr = W.mix(Mp) - scale * disp / eta - st.D
-    Y = delta + mu * corr
-    tracked_step = S - eta * (G + mu * corr)  # equals x - eta*y
-    if kind == "QG-GUTm":
-        M = beta * Mp + (1.0 - beta) * Y
-        Xn = beta * X + (1.0 - beta) * tracked_step - eta * beta * Mp
-    elif kind == "QG-GUTmN":
-        M = beta * Mp + (1.0 - beta) * Y
-        Xn = beta * X + (1.0 - beta) * tracked_step - eta * beta * M
-    elif kind in ("GUTm", "QG-GUTm-impl"):
-        M = beta * Mp + Y
-        Xn = tracked_step - eta * beta * Mp
-    elif kind == "GUTmN":
-        M = beta * Mp + Y
-        Xn = tracked_step - eta * beta * M
-    else:
-        raise ValueError(f"qg_gutm_round cannot run kind {spec.kind!r}")
-    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
+def _dsgd(st, W, G, eta, mu, beta):
+    return _gossip_step(st, W, G, eta, W.mix(st.X - eta * G), st.M)
 
 
-def baseline_round(st: State, W, spec, oracle) -> State:
-    """Gossip baselines with gradients at the local parameters."""
-    kind = spec.effective_kind()
-    rnd = st.round
-    eta = spec.lr(rnd)
-    beta = spec.beta
-    X, Mp = st.X, st.M
-    G = oracle(X, rnd)[1]
-    if kind == "DSGD":
-        M = Mp
-        Xn = W.mix(X - eta * G)
-    elif kind == "DSGDm":
-        M = beta * Mp + G
-        Xn = W.mix(X - eta * M)
-    elif kind == "DSGDmN":
-        M = beta * Mp + G
-        Xn = W.mix(X - eta * (G + beta * M))
-    elif kind == "QG-DSGDm":
-        Xn = W.mix(X - eta * (G + beta * Mp))
-        M = beta * Mp + (1.0 - beta) * (X - Xn) / eta
-    elif kind == "QG-DSGDmN":
-        look = beta * Mp + (1.0 - beta) * G
-        Xn = W.mix(X - eta * (G + beta * look))
-        M = beta * Mp + (1.0 - beta) * (X - Xn) / eta
-    else:
-        raise ValueError(f"baseline_round cannot run kind {spec.kind!r}")
-    Y = (X - Xn) / eta
-    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=G, M=M)
+def _dsgdm(st, W, G, eta, mu, beta, nesterov):
+    """Heavy-ball on the local gradient; Nesterov steps along g + beta*m."""
+    M = beta * st.M + G
+    step = G + beta * M if nesterov else M
+    return _gossip_step(st, W, G, eta, W.mix(st.X - eta * step), M)
 
 
-def gradient_tracking_round(st: State, W, spec, oracle) -> State:
+def _qg_dsgdm(st, W, G, eta, mu, beta, nesterov):
+    """The buffer averages the realized displacements (x - x')/eta;
+    Nesterov looks ahead with beta*m + (1 - beta)*g in place of m."""
+    look = beta * st.M + (1.0 - beta) * G if nesterov else st.M
+    Xn = W.mix(st.X - eta * (G + beta * look))
+    return _gossip_step(st, W, G, eta, Xn, beta * st.M + (1.0 - beta) * (st.X - Xn) / eta)
+
+
+def _gt(st, W, G, eta, mu, beta):
     """Gradient tracking: y accumulates g - g_prev through the gossip mix.
 
-    Both x and y are exchanged (2x communication).  y is initialized to
-    the first local gradient.
+    Both x and y are exchanged; y starts at the first local gradient.
     """
-    rnd = st.round
-    eta = spec.lr(rnd)
+    Y = G if st.round == 0 else W.mix(st.Y) - st.D + G
+    Xn = W.mix(st.X - eta * Y)
+    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=G)
+
+
+def _around_mix(st, W, G, eta, delta, mc):
+    """y = delta + mc, and x - eta*y rearranged around the mixed point as
+    s - eta*(g + mc), which is exactly W x - eta g when mc = 0."""
+    Xn = st.S - eta * (G + mc)
+    return dict(X=Xn, S=W.mix(Xn), Y=delta + mc, D=delta)
+
+
+def _gut(st, W, G, eta, mu, beta):
+    """y = delta + mu*[W y_prev - (s - x)/eta - delta_prev], delta = g - (s - x)/eta."""
+    disp = st.S - st.X
+    return _around_mix(st, W, G, eta, G - disp / eta, mu * (W.mix(st.Y) - disp / eta - st.D))
+
+
+def _gut_matrix(st, W, G, eta, mu, beta):
+    delta = G - (st.S - st.X) / eta
+    Y = delta + mu * (W.mix(st.Y) - (st.S - st.X) / eta - st.D)
+    Xn = st.X - eta * Y
+    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
+
+
+def _gut_bias(st, W, G, eta, mu, beta):
     X = st.X
-    G = oracle(X, rnd)[1]
-    Y = G if rnd == 0 else W.mix(st.Y) - st.D + G
-    Xn = W.mix(X - eta * Y)
-    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=G)
+    Xn = st.S - eta * (G + mu * st.B)
+    Bn = -((2.0 * W.mix(Xn - X) - (Xn - X)) + eta * G) / eta
+    return dict(X=Xn, S=W.mix(Xn), Y=(X - Xn) / eta, D=G - (st.S - X) / eta, B=Bn)
 
 
-def rule_round(st: State, W, spec, oracle) -> State:
-    """Naive tracking ablations (Rule-a, Rule-b).
-
-    Both share the tracked first term G - (W - I)X/eta and transmit only
-    Y; they differ in the mu-scaled correction.
-    """
-    rnd = st.round
-    eta = spec.lr(rnd)
-    mu = spec.mu
-    X, S = st.X, st.S
-    G = oracle(S, rnd)[1]
-    disp = S - X
+def _gut_memeff(st, W, G, eta, mu, beta):
+    # S is the incrementally maintained aggregate, never recomputed
+    disp = st.S - st.X
     delta = G - disp / eta
-    if spec.kind == "RuleA":
-        corr = W.mix(st.Y) - st.D
-    elif spec.kind == "RuleB":
-        dx = X - st.Xp
-        corr = -(W.mix(dx) - dx) / eta
-    else:
-        raise ValueError(f"rule_round cannot run kind {spec.kind!r}")
-    Y = delta + mu * corr
-    Xn = S - eta * (G + mu * corr)
-    return st.advance(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
+    Y = delta + mu * (W.mix(st.Y) - disp / eta - st.D)
+    return dict(X=st.X - eta * Y, S=st.S - eta * W.mix(Y), Y=Y, D=delta)
 
 
-_DISPATCH = {
-    "DSGD": baseline_round,
-    "DSGDm": baseline_round,
-    "DSGDmN": baseline_round,
-    "QG-DSGDm": baseline_round,
-    "QG-DSGDmN": baseline_round,
-    "GT": gradient_tracking_round,
-    "GUT": gut_round,
-    "GUTm": qg_gutm_round,
-    "GUTmN": qg_gutm_round,
-    "QG-GUTm": qg_gutm_round,
-    "QG-GUTmN": qg_gutm_round,
-    "QG-GUTm-impl": qg_gutm_round,
-    "RuleA": rule_round,
-    "RuleB": rule_round,
+def _momentum_parts(st, W, G, eta, mu, scale=1.0):
+    """delta, y and the step x - eta*y of the tracked update whose
+    correction mixes the momentum buffer, the vector these rules send."""
+    disp = st.S - st.X
+    delta = G - disp / eta
+    mc = mu * (W.mix(st.M) - scale * disp / eta - st.D)
+    return delta, delta + mc, st.S - eta * (G + mc)
+
+
+def _gutm(st, W, G, eta, mu, beta, nesterov, scale=1.0):
+    """Heavy-ball on the tracked update; Nesterov applies the new buffer."""
+    delta, Y, step = _momentum_parts(st, W, G, eta, mu, scale)
+    M = beta * st.M + Y
+    Xn = step - eta * beta * (M if nesterov else st.M)
+    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
+
+
+def _qg_gutm(st, W, G, eta, mu, beta, nesterov):
+    """Exponential buffer over the tracked update; Nesterov applies the new buffer."""
+    delta, Y, step = _momentum_parts(st, W, G, eta, mu)
+    M = beta * st.M + (1.0 - beta) * Y
+    Xn = beta * st.X + (1.0 - beta) * step - eta * beta * (M if nesterov else st.M)
+    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
+
+
+def _qg_gutm_impl(st, W, G, eta, mu, beta):
+    """GUTm with a (1 + beta)/eta scale on the displacement correction."""
+    return _gutm(st, W, G, eta, mu, beta, nesterov=False, scale=1.0 + beta)
+
+
+def _rule_a(st, W, G, eta, mu, beta):
+    """GUT without the -(s - x)/eta term in the correction."""
+    return _around_mix(st, W, G, eta, G - (st.S - st.X) / eta, mu * (W.mix(st.Y) - st.D))
+
+
+def _rule_b(st, W, G, eta, mu, beta):
+    """Corrects with the mixing residual of the last displacement."""
+    dx = st.X - st.Xp
+    return _around_mix(st, W, G, eta, G - (st.S - st.X) / eta, mu * (-(W.mix(dx) - dx) / eta))
+
+
+class Rule(NamedTuple):
+    """How a kind runs: the State field its gradient is taken at (``S``,
+    the mixed point, or ``X``), the vectors each agent sends per round
+    and the round's arithmetic."""
+
+    at: str
+    sends: int
+    step: Callable
+
+
+RULES = {
+    "DSGD": Rule("X", 1, _dsgd),
+    "DSGDm": Rule("X", 1, partial(_dsgdm, nesterov=False)),
+    "DSGDmN": Rule("X", 1, partial(_dsgdm, nesterov=True)),
+    "QG-DSGDm": Rule("X", 1, partial(_qg_dsgdm, nesterov=False)),
+    "QG-DSGDmN": Rule("X", 1, partial(_qg_dsgdm, nesterov=True)),
+    "GT": Rule("X", 2, _gt),
+    "GUT": Rule("S", 1, _gut),
+    "GUTm": Rule("S", 1, partial(_gutm, nesterov=False)),
+    "GUTmN": Rule("S", 1, partial(_gutm, nesterov=True)),
+    "QG-GUTm": Rule("S", 1, partial(_qg_gutm, nesterov=False)),
+    "QG-GUTmN": Rule("S", 1, partial(_qg_gutm, nesterov=True)),
+    "QG-GUTm-impl": Rule("S", 1, _qg_gutm_impl),
+    "GUT-matrix": Rule("S", 1, _gut_matrix),
+    "GUT-bias": Rule("S", 1, _gut_bias),
+    "GUT-memeff": Rule("S", 1, _gut_memeff),
+    "RuleA": Rule("S", 1, _rule_a),
+    "RuleB": Rule("S", 1, _rule_b),
 }
+
+KINDS = tuple(RULES)
 
 
 def run_round(state: State, W, spec, oracle) -> State:
-    """Dispatch one synchronous round for spec.kind.
+    """One synchronous round of spec.kind, with one oracle call.
 
-    Overflow is not a warning here: divergence is an intended experimental
-    condition, detected and raised as DivergenceError.
+    The returned state carries the oracle's losses.  Overflow is not a
+    warning here: divergence is an intended experimental condition,
+    detected and raised as DivergenceError.
     """
-    kind = spec.kind
+    rule = RULES[spec.kind]
+    eta = spec.lr(state.round)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind.startswith("GUT-"):
-            return gut_form_round(state, W, spec, oracle, form=kind.split("-", 1)[1].lower())
-        return _DISPATCH[kind](state, W, spec, oracle)
+        losses, G = oracle(getattr(state, rule.at), state.round)
+        return state.advance(losses=losses, **rule.step(state, W, G, eta, spec.mu, spec.beta))
 
 
 @dataclass
@@ -412,6 +373,5 @@ def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> Hyp
 
 
 def comm_cost(spec: AlgorithmSpec, d: int, W: MixingMatrix) -> int:
-    """Scalars transmitted per agent per round: degree * d, doubled for GT."""
-    mult = 2 if spec.kind == "GT" else 1
-    return int(W.degrees.mean() * d * mult)
+    """Scalars transmitted per agent per round: degree * d * vectors sent."""
+    return int(W.degrees.mean() * d * RULES[spec.kind].sends)

@@ -24,8 +24,6 @@ from . import algorithms, harness, models, partition, topology
 
 __all__ = ["main", "cli_entry", "emit_plot", "parse_config"]
 
-SUBCOMMANDS = ("topology", "partition", "consensus", "train", "equivalence", "validate")
-
 PLOT_FLOOR = 1e-16
 
 # key -> (parser, default).  Every config key must appear here; anything
@@ -78,7 +76,6 @@ KEYS: dict[str, tuple] = {
     "algorithm.eta": (float, 0.1),
     "algorithm.mu": (float, 0.9),
     "algorithm.beta": (float, 0.9),
-    "algorithm.nesterov": (_parse_bool, False),
     "consensus.method": (str, "gut"),
     "consensus.d": (int, 32),
     "consensus.seed": (int, 0),
@@ -197,18 +194,18 @@ def _problem_spec(config: dict) -> models.SyntheticProblemSpec:
     )
 
 
+def _partition(config: dict, labels) -> partition.Partition:
+    return partition.dirichlet_partition(
+        labels, n_agents=config["topology.n"], alpha=config["partition.alpha"],
+        seed=config["partition.seed"], min_per_agent=config["partition.min_per_agent"],
+    )
+
+
 def _build_problem(config: dict) -> models.Problem:
     spec = _problem_spec(config)
     if spec.kind == "quadratic":
         return models.make_problem(spec)
-    base = models.make_problem(spec)
-    part = partition.dirichlet_partition(
-        base.labels,
-        n_agents=spec.n_agents,
-        alpha=config["partition.alpha"],
-        seed=config["partition.seed"],
-        min_per_agent=config["partition.min_per_agent"],
-    )
+    part = _partition(config, models.make_problem(spec).labels)
     return models.make_problem(spec, assignments=part.assignments)
 
 
@@ -218,7 +215,6 @@ def _algorithm_spec(config: dict) -> algorithms.AlgorithmSpec:
         eta=config["algorithm.eta"],
         mu=config["algorithm.mu"],
         beta=config["algorithm.beta"],
-        nesterov=config["algorithm.nesterov"],
     )
 
 
@@ -307,13 +303,7 @@ def _cmd_partition(config: dict, outdir: Path) -> int:
     if spec.kind == "quadratic":
         raise ConfigError("partition requires a classification problem.kind")
     base = models.make_problem(spec)
-    part = partition.dirichlet_partition(
-        base.labels,
-        n_agents=spec.n_agents,
-        alpha=config["partition.alpha"],
-        seed=config["partition.seed"],
-        min_per_agent=config["partition.min_per_agent"],
-    )
+    part = _partition(config, base.labels)
     table, skew = partition.partition_histogram(part, base.labels)
     _write(outdir, "histogram.csv", partition.histogram_csv(table))
     print(f"skew={skew:.17g}")
@@ -448,12 +438,12 @@ _COMMANDS = {
 def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())
-        print(f"\nsubcommands: {', '.join(SUBCOMMANDS)}")
+        print(f"\nsubcommands: {', '.join(_COMMANDS)}")
         return 0 if argv else 1
     sub = argv[0]
     if sub not in _COMMANDS:
         print(
-            f"unknown subcommand {sub!r}; expected one of {', '.join(SUBCOMMANDS)}",
+            f"unknown subcommand {sub!r}; expected one of {', '.join(_COMMANDS)}",
             file=sys.stderr,
         )
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .algorithms import AlgorithmSpec, DivergenceError, check_mu_beta, check_start
+from .algorithms import GUT_FAMILY, AlgorithmSpec, DivergenceError, check_mu_beta, check_start
 from .algorithms import comm_cost, init_states, run_round
 from .topology import MixingMatrix
 
@@ -168,15 +168,15 @@ def run_consensus(
     return MetricTrace(rows=rows, meta=meta, divergent=divergent)
 
 
-def decayed_schedule(eta: float, T: int, factor: float = 0.1):
-    """Step schedule with a ``factor`` drop at 50% and 75% of T."""
+def decayed_schedule(eta: float, T: int):
+    """Step schedule with a 10x drop at 50% and 75% of T."""
     first, second = T // 2, (3 * T) // 4
 
     def schedule(t: int) -> float:
         if t >= second:
-            return eta * factor * factor
+            return eta * 0.1 * 0.1
         if t >= first:
-            return eta * factor
+            return eta * 0.1
         return eta
 
     return schedule
@@ -197,7 +197,6 @@ def run_training(
     seeds=(1, 2, 3),
     eval_every: int = 10,
     decay: bool = True,
-    x0_scale: float = 0.1,
 ) -> TrainingResult:
     """Synchronous decentralized training, repeated per seed.
 
@@ -218,16 +217,9 @@ def run_training(
     traces = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        x0 = x0_scale * rng.standard_normal(d)
+        x0 = 0.1 * rng.standard_normal(d)
         X0 = np.tile(x0, (W.n, 1))
-        base_oracle = models.make_oracle(problem, batch_size, seed=seed)
-        round_losses: list[np.ndarray] = []
-
-        def oracle(X, rnd):
-            losses, G = base_oracle(X, rnd)
-            round_losses.append(losses)
-            return losses, G
-
+        oracle = models.make_oracle(problem, batch_size, seed=seed)
         states = init_states(X0, W, spec)
         rows: list[TraceRow] = []
         divergent = False
@@ -235,7 +227,6 @@ def run_training(
         # divergent flag, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(T):
-                round_losses.clear()
                 try:
                     states = run_round(states, W, spec, oracle)
                 except DivergenceError:
@@ -244,7 +235,7 @@ def run_training(
                 row = TraceRow(
                     round=t,
                     consensus_error=consensus_error(states.X),
-                    mean_loss=float(np.mean(round_losses)) if round_losses else None,
+                    mean_loss=float(np.mean(states.losses)),
                     eta=spec.lr(t),
                     comm_scalars=scalars_per_round * (t + 1),
                 )
@@ -259,7 +250,6 @@ def run_training(
             "eta": spec.eta,
             "mu": spec.mu,
             "beta": spec.beta,
-            "nesterov": spec.nesterov,
             "n": W.n,
             "d": d,
             "rounds": T,
@@ -324,10 +314,9 @@ def check_equivalence(
     x0 = rng.standard_normal(problem.dim)
     X0 = np.tile(x0, (W.n, 1))
     oracle = models.make_oracle(problem, batch_size=None, seed=seed)
-    forms = ("GUT", "GUT-matrix", "GUT-bias", "GUT-memeff")
     trajectories: dict[str, list[np.ndarray]] = {}
     diverged_at: dict[str, int | None] = {}
-    for kind in forms:
+    for kind in GUT_FAMILY:
         form_spec = dataclasses.replace(spec, kind=kind)
         state = init_states(X0, W, form_spec)
         traj = []
@@ -341,7 +330,7 @@ def check_equivalence(
         trajectories[kind] = traj
     ref = trajectories["GUT"]
     per_form = {}
-    for kind in forms[1:]:
+    for kind in GUT_FAMILY[1:]:
         if not ref or diverged_at[kind] != diverged_at["GUT"]:
             per_form[kind] = math.inf
             continue

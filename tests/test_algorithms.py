@@ -123,6 +123,29 @@ class TestTrackedUpdateRound:
                 S = np.stack([st.s for st in states])
                 assert np.max(np.abs(S - W.weights @ X)) <= 1e-10
 
+    def test_one_oracle_call_at_the_rule_point_and_losses_returned(self):
+        W = build_topology("ring", 8)
+        rng = np.random.default_rng(16)
+        X0 = rng.standard_normal((8, 3))
+        base = quad_oracle(rng.standard_normal((8, 3)))
+        local = {"DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT"}
+        for kind in KINDS:
+            calls = []
+
+            def oracle(X, rnd):
+                out = base(X, rnd)
+                calls.append((X.copy(), rnd, out[0]))
+                return out
+
+            spec = AlgorithmSpec(kind=kind, eta=0.1, mu=0.1, beta=0.5)
+            states = init_states(X0, W, spec)
+            assert states.losses is None
+            states = run_round(states, W, spec, oracle)
+            (point, rnd, losses), = calls
+            assert rnd == 0
+            assert np.array_equal(point, X0 if kind in local else W.weights @ X0), kind
+            assert states.losses is losses
+
     def test_divergence_error_names_agent_and_round(self):
         spec = AlgorithmSpec(kind="GUT", eta=1e150, mu=0.0)
         states = init_states(np.array([[1.0], [1.0]]), UNIFORM2, spec)
@@ -137,7 +160,7 @@ class TestMomentumVariants:
         X0 = rng.standard_normal((8, 3))
         oracle = quad_oracle(rng.standard_normal((8, 3)))
         ref = run_trajectory("GUT", W, X0, oracle, T=15, eta=0.05, mu=0.15)
-        for kind in ("QG-GUTm", "QG-GUTm-impl"):
+        for kind in ("QG-GUTm", "QG-GUTm-impl", "GUTm", "GUTmN", "QG-GUTmN"):
             traj = run_trajectory(kind, W, X0, oracle, T=15, eta=0.05, mu=0.15, beta=0.0)
             for X, R in zip(traj, ref):
                 assert np.array_equal(X, R)
@@ -169,10 +192,64 @@ class TestMomentumVariants:
         X0 = rng.standard_normal((8, 2))
         oracle = quad_oracle(rng.standard_normal((8, 2)))
         plain = run_trajectory("QG-GUTm", W, X0, oracle, T=5, eta=0.05, mu=0.05, beta=0.9)
-        nest = run_trajectory(
-            "QG-GUTm", W, X0, oracle, T=5, eta=0.05, mu=0.05, beta=0.9, nesterov=True
-        )
+        nest = run_trajectory("QG-GUTmN", W, X0, oracle, T=5, eta=0.05, mu=0.05, beta=0.9)
         assert np.max(np.abs(plain[-1] - nest[-1])) > 0
+
+
+def momentum_transcription(kind, Wd, X, b, T, eta, mu, beta):
+    """The momentum rules written out from their update equations, with a
+    dense W and the gradient g = x - b of quad_oracle(b)."""
+    m = np.zeros_like(X)
+    delta_prev = np.zeros_like(X)
+    out = []
+    for _ in range(T):
+        if kind in ("DSGDm", "DSGDmN"):
+            g = X - b
+            m = beta * m + g
+            step = g + beta * m if kind == "DSGDmN" else m
+            Xn = Wd @ (X - eta * step)
+        elif kind in ("QG-DSGDm", "QG-DSGDmN"):
+            g = X - b
+            look = beta * m + (1 - beta) * g if kind == "QG-DSGDmN" else m
+            Xn = Wd @ (X - eta * (g + beta * look))
+            m = beta * m + (1 - beta) * (X - Xn) / eta
+        else:
+            # tracked update at the mixed point, correcting with W m
+            s = Wd @ X
+            g = s - b
+            delta = g - (s - X) / eta
+            scale = 1 + beta if kind == "QG-GUTm-impl" else 1
+            y = delta + mu * (Wd @ m - scale * (s - X) / eta - delta_prev)
+            if kind in ("QG-GUTm", "QG-GUTmN"):
+                m_new = beta * m + (1 - beta) * y
+                Xn = X - eta * (1 - beta) * y - eta * beta * (m_new if kind == "QG-GUTmN" else m)
+            else:
+                m_new = beta * m + y
+                Xn = X - eta * y - eta * beta * (m_new if kind == "GUTmN" else m)
+            m, delta_prev = m_new, delta
+        X = Xn
+        out.append(X)
+    return out
+
+
+class TestMomentumTranscriptions:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN",
+            "GUTm", "GUTmN", "QG-GUTm", "QG-GUTmN", "QG-GUTm-impl",
+        ],
+    )
+    def test_matches_update_equations(self, kind):
+        W = build_topology("ring", 8)
+        rng = np.random.default_rng(15)
+        X0 = rng.standard_normal((8, 3))
+        b = rng.standard_normal((8, 3))
+        hp = dict(eta=0.05, mu=0.15, beta=0.9)
+        traj = run_trajectory(kind, W, X0, quad_oracle(b), T=5, **hp)
+        ref = momentum_transcription(kind, W.weights, X0, b, T=5, **hp)
+        for X, R in zip(traj, ref):
+            assert np.max(np.abs(X - R)) <= 1e-12
 
 
 class TestBaselines:
@@ -194,10 +271,11 @@ class TestBaselines:
         rng = np.random.default_rng(9)
         X0 = rng.standard_normal((8, 3))
         oracle = quad_oracle(rng.standard_normal((8, 3)))
-        a = run_trajectory("QG-DSGDm", W, X0, oracle, T=10, eta=0.1, beta=0.0)
         b = run_trajectory("DSGD", W, X0, oracle, T=10, eta=0.1)
-        for X, R in zip(a, b):
-            assert np.array_equal(X, R)
+        for kind in ("QG-DSGDm", "DSGDm", "DSGDmN", "QG-DSGDmN"):
+            a = run_trajectory(kind, W, X0, oracle, T=10, eta=0.1, beta=0.0)
+            for X, R in zip(a, b):
+                assert np.array_equal(X, R)
 
     def test_local_vs_mixed_evaluation_points_differ(self):
         W = build_topology("ring", 8)

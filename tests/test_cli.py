@@ -150,6 +150,17 @@ class TestTrainSubcommand:
         svg = (out / "train.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_nesterov_key_is_unknown(self, tmp_path, capsys):
+        # Nesterov variants are selected by kind, not by a flag
+        assert run_cli("train", "--algorithm.nesterov=true", f"--run.output_dir={tmp_path}") == 1
+        assert "unknown config key 'algorithm.nesterov'" in capsys.readouterr().err
+
+    def test_nesterov_kind_runs(self, tmp_path):
+        assert run_cli(
+            "train", "--algorithm.kind=QG-GUTmN", "--run.rounds=10", "--run.seeds=1",
+            f"--run.output_dir={tmp_path}",
+        ) == 0
+
     def test_empty_batch_is_config_error(self, tmp_path, capsys):
         assert run_cli("train", "--run.batch=0", f"--run.output_dir={tmp_path}") == 1
         assert "batch_size" in capsys.readouterr().err
