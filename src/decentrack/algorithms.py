@@ -372,6 +372,11 @@ def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> Hyp
     )
 
 
-def comm_cost(spec: AlgorithmSpec, d: int, W: MixingMatrix) -> int:
-    """Scalars transmitted per agent per round: degree * d * vectors sent."""
-    return int(W.degrees.mean() * d * RULES[spec.kind].sends)
+def comm_cost(spec: AlgorithmSpec, d: int, W: MixingMatrix) -> int | float:
+    """Scalars transmitted per agent per round: mean degree * d * vectors sent.
+
+    An int when that is whole, as on every regular graph; otherwise the
+    float nearest to it.
+    """
+    total = int(W.degrees.sum()) * d * RULES[spec.kind].sends
+    return total // W.n if total % W.n == 0 else total / W.n

@@ -46,7 +46,7 @@ class TraceRow:
     avg_model_loss: float | None = None
     avg_model_accuracy: float | None = None
     eta: float | None = None
-    comm_scalars: int = 0
+    comm_scalars: int | float = 0
 
 
 @dataclass
@@ -91,7 +91,8 @@ def consensus_error(X: np.ndarray) -> float:
     """(1/n) * squared Frobenius distance of the rows from their mean."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     centered = X - X.mean(axis=0)
-    return float(np.sum(centered * centered) / X.shape[0])
+    np.multiply(centered, centered, out=centered)
+    return float(np.sum(centered) / X.shape[0])
 
 
 def average_model(states) -> np.ndarray:

@@ -13,6 +13,17 @@ trajectory is a pure function of its configuration and independent of
 evaluation order.  ``make_oracle`` serves every agent in one call per
 round; the per-agent ``draw_batch`` / ``loss_and_grad`` methods are its
 reference.
+
+The oracle draws what the reference draws, bit for bit, without its
+per-agent cost.  The SeedSequence hashing of the (seed, agent) part of each
+key runs once per oracle, vectorised over agents (``_KeyPool``); each round
+mixes in only the round's words.  Minibatch indices skip ``Generator``:
+each sampled agent's PCG64 is seeded by numpy from its hashed words, and
+one vectorised pass maps the raw words to indices with numpy's own
+algorithm for ``Generator.integers`` (``_lemire_map``); the rare agent
+whose draws hit a rejection is drawn again by numpy itself.  Quadratic
+noise still needs one ``Generator`` per agent, for numpy's ziggurat
+``standard_normal``.
 """
 
 from __future__ import annotations
@@ -95,52 +106,86 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _spawned_state_words(seed: int, agents: np.ndarray, rnd: int) -> np.ndarray:
-    """Row i: ``SeedSequence(entropy=seed, spawn_key=(agents[i], rnd)).generate_state(4, np.uint64)``.
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``count + 1`` successive hash constants from ``init``, as uint32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# generate_state's constants: state word i is pool word i % 4, XORed with
+# _STATE_CONSTS[i] and multiplied by _STATE_CONSTS[i + 1]
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None]
+
+
+class _KeyPool:
+    """``SeedSequence(entropy=seed, spawn_key=(agent, rnd))`` of fixed agents, any round.
 
     Replays SeedSequence's entropy mixing and state generation with one
-    uint32 lane per agent.  Words shared by all agents stay Python ints,
-    masked to 32 bits, so only what depends on the agent runs on arrays
-    (whose uint32 arithmetic wraps like the C code).
+    uint32 lane per agent.  The round's words come last in the entropy, so
+    the pool after the (seed, agent) words is the same in every round: it
+    is built once, as a (4, n_agents) uint32 array plus the hash constant
+    reached, and ``state_words`` mixes in one round's words.  Words shared
+    by all agents stay Python ints, masked to 32 bits, so only what depends
+    on the agent runs on arrays (whose uint32 arithmetic wraps like the C
+    code).
     """
-    if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
-        raise ValueError("substream agents must lie in [0, 2**32)")
-    # a spawn key makes SeedSequence pad the run entropy to the pool size,
-    # so the entropy always outgrows the pool and the agent word sits past it
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = run + [agents.astype(np.uint32)] + _uint32_words(rnd)
-    hash_const = _INIT_A
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
+    def __init__(self, seed: int, agents: np.ndarray):
+        if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
+            raise ValueError("substream agents must lie in [0, 2**32)")
+        # a spawn key makes SeedSequence pad the run entropy to the pool
+        # size, so the entropy always outgrows the pool and the agent word
+        # sits past it
+        run = _uint32_words(seed)
+        run += [0] * (_POOL_SIZE - len(run))
+        hash_const = _INIT_A
 
-    def mix(x, y):
-        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-        return result ^ (result >> 16)
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = (hash_const * _MULT_A) & _MASK32
+            value = (value * hash_const) & _MASK32
+            return value ^ (value >> 16)
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        pool = [hashmix(word) for word in run[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in run[_POOL_SIZE:] + [agents.astype(np.uint32)]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        self._pool = np.stack(pool)
+        self._hash_const = hash_const
 
-    hash_const = _INIT_B
-    words = np.empty((len(agents), 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        words[:, i] = value ^ (value >> 16)
-    # uint64 output reads the uint32 words as little-endian pairs
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    def state_words(self, rnd: int) -> np.ndarray:
+        """Row i: the 4 uint64 state words of agent i's (seed, agent, rnd) key."""
+        pool, hash_const = self._pool, self._hash_const
+        for word in _uint32_words(rnd):
+            # hashmix of one word for each pool entry, applied as one column
+            consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+            hash_const = int(consts[-1])
+            hashed = (word ^ consts[:-1]) * consts[1:]
+            pool = _mix(pool, (hashed ^ (hashed >> 16))[:, None])
+        words = np.concatenate((pool, pool))
+        words ^= _STATE_CONSTS[:-1]
+        words *= _STATE_CONSTS[1:]
+        words ^= words >> 16
+        # uint64 output reads the uint32 words as little-endian pairs
+        return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _spawned_state_words(seed: int, agents: np.ndarray, rnd: int) -> np.ndarray:
+    """Row i: ``SeedSequence(entropy=seed, spawn_key=(agents[i], rnd)).generate_state(4, np.uint64)``."""
+    return _KeyPool(seed, agents).state_words(rnd)
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -158,6 +203,11 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A Generator whose PCG64 numpy seeds from precomputed state words."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 def substreams(seed: int, agents, rnd: int):
     """Yield ``(agent, rng)`` for each agent, ``rng`` seeded by its (seed, agent, rnd) key.
 
@@ -168,7 +218,45 @@ def substreams(seed: int, agents, rnd: int):
     """
     agents = np.asarray(agents, dtype=np.int64).reshape(-1)
     for agent, words in zip(agents.tolist(), _spawned_state_words(seed, agents, rnd)):
-        yield agent, np.random.Generator(np.random.PCG64(_StateWords(words)))
+        yield agent, _generator(words)
+
+
+def _lemire_map(raw: np.ndarray, bounds: np.ndarray, size: int):
+    """numpy's bounded draws in [0, bounds[i]) from row i of raw PCG64 words.
+
+    This is ``Generator.integers`` for bounds in [1, 2**32] (Lemire 2019,
+    arXiv:1805.10941; numpy's ``random_bounded_uint64_fill``): each draw
+    takes the next 32 bits u of the stream, the low half of a raw word
+    before its high half, and returns (u * bound) >> 32, unless the low 32
+    bits of the product fall below 2**32 mod bound; then numpy takes the
+    next 32 bits instead.  Returns the draws of the first ``size`` 32-bit
+    words of each row and a flag per row: True where a draw was rejected,
+    so that row's draws are not numpy's.
+    """
+    u = raw.astype("<u8").view("<u4")[:, :size].astype(np.uint64)
+    scaled = u * bounds[:, None]
+    draws = (scaled >> np.uint64(32)).astype(np.int64)
+    rejected = (scaled & np.uint64(_MASK32)) < (np.uint64(2**32) % bounds)[:, None]
+    return draws, rejected.any(axis=1)
+
+
+def _bounded_draws(words: np.ndarray, bounds, size: int) -> np.ndarray:
+    """Row i: ``_generator(words[i]).integers(0, bounds[i], size=size)``, for bounds in [1, 2**32].
+
+    All rows go through ``_lemire_map`` at once; a row with a rejected draw
+    (probability below size * bound / 2**32) is drawn again by numpy from
+    the same state words.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if bounds.size and not 1 <= bounds.min() <= bounds.max() <= 2**32:
+        raise ValueError("bounded draws need bounds in [1, 2**32]")
+    raw = np.empty((len(words), (size + 1) // 2), dtype=np.uint64)
+    for row, key in zip(raw, words):
+        row[:] = np.random.PCG64(_StateWords(key)).random_raw(raw.shape[1])
+    draws, rejected = _lemire_map(raw, bounds, size)
+    for row in np.flatnonzero(rejected):
+        draws[row] = _generator(words[row]).integers(0, int(bounds[row]), size=size)
+    return draws
 
 
 class Problem:
@@ -271,14 +359,18 @@ class QuadraticProblem(Problem):
         return 0.5 * float(diff @ diff), diff.copy()
 
     def batched_oracle(self, batch_size, seed):
+        # standard_normal needs numpy's ziggurat, so each agent keeps its
+        # own Generator; only the seed hashing is shared
+        keys = _KeyPool(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
+
         def oracle(X, rnd):
             self._check_params(X)
             diff = X - self.b
             losses = 0.5 * np.einsum("ij,ij->i", diff, diff)
-            if self.sigma > 0:
+            if keys is not None:
                 noise = np.empty_like(diff)
-                for agent, rng in substreams(seed, np.arange(self.n_agents), rnd):
-                    rng.standard_normal(out=noise[agent])
+                for row, words in zip(noise, keys.state_words(rnd)):
+                    _generator(words).standard_normal(out=row)
                 diff = diff + self.sigma * noise
             return losses, diff
 
@@ -298,6 +390,21 @@ def _make_clusters(spec: SyntheticProblemSpec, rng: np.random.Generator, n: int)
     rng.shuffle(labels)
     feats = means[labels] + rng.normal(size=(n, spec.d))
     return feats, labels, means
+
+
+class _IndexTable:
+    """Agent i's batch is ``table[i, :counts[i]]``; ``mask`` marks those entries.
+
+    ``agent`` and ``slot`` are the table's open grid, for gathering one
+    entry per table cell.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        n, width = len(counts), int(counts.max())
+        self.counts = counts
+        self.table = np.zeros((n, width), dtype=np.intp)
+        self.mask = np.arange(width) < counts[:, None]
+        self.agent, self.slot = np.ogrid[:n, :width]
 
 
 class _ClassificationProblem(Problem):
@@ -337,7 +444,7 @@ class _ClassificationProblem(Problem):
     def _batch_loss_grad(self, feats, labels, params):
         raise NotImplementedError
 
-    def _predict(self, feats, params):
+    def _logits(self, feats, params):
         raise NotImplementedError
 
     def batched_oracle(self, batch_size, seed):
@@ -346,25 +453,31 @@ class _ClassificationProblem(Problem):
         sizes = np.array([len(local) for local in self.assignments])
         counts = sizes if batch_size is None else np.minimum(sizes, batch_size)
         sampled = np.flatnonzero(counts < sizes)
-        table = np.zeros((len(sizes), counts.max()), dtype=np.intp)
+        batches = _IndexTable(counts)
         for agent, local in enumerate(self.assignments):
             if counts[agent] == sizes[agent]:
-                table[agent, : sizes[agent]] = local
+                batches.table[agent, : sizes[agent]] = local
+        # a sampled agent's draws index its slice of the concatenated sets
+        flat = np.concatenate(self.assignments)
+        starts = (np.cumsum(sizes) - sizes)[sampled, None]
+        bounds = sizes[sampled]
+        keys = _KeyPool(seed, sampled)
 
         def oracle(X, rnd):
             self._check_params(X)
-            for agent, rng in substreams(seed, sampled, rnd):
-                local = self.assignments[agent]
-                table[agent] = local[rng.integers(0, len(local), size=batch_size)]
-            return self._stacked_loss_grad(table, counts, X)
+            words = keys.state_words(rnd)
+            if len(sampled):
+                draws = _bounded_draws(words, bounds, batch_size)
+                batches.table[sampled] = flat[starts + draws]
+            return self._stacked_loss_grad(batches, X)
 
         return oracle
 
-    def _stacked_loss_grad(self, table, counts, X):
+    def _stacked_loss_grad(self, batches, X):
         """Per-agent (losses, grads) on the batches ``table[i, :counts[i]]``."""
         losses = np.empty(len(X))
         grads = np.empty_like(X)
-        for agent, (row, m) in enumerate(zip(table, counts)):
+        for agent, (row, m) in enumerate(zip(batches.table, batches.counts)):
             idx = row[:m]
             losses[agent], grads[agent] = self._batch_loss_grad(
                 self.features[idx], self.labels[idx], X[agent]
@@ -384,15 +497,20 @@ class _ClassificationProblem(Problem):
     def evaluate(self, params):
         if len(self.test_labels) == 0:
             raise ValueError("empty test set")
-        loss, _ = self._batch_loss_grad(self.test_features, self.test_labels, params)
-        pred = self._predict(self.test_features, params)
-        return loss, float(np.mean(pred == self.test_labels))
+        logits = self._logits(self.test_features, params)
+        loss = _mean_nll(_softmax(logits), self.test_labels)
+        return loss, float(np.mean(np.argmax(logits, axis=1) == self.test_labels))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean over the rows of ``probs`` of minus the log-probability of the true label."""
+    return float(-np.mean(np.log(probs[np.arange(len(labels)), labels] + 1e-300)))
 
 
 class SoftmaxProblem(_ClassificationProblem):
@@ -407,34 +525,32 @@ class SoftmaxProblem(_ClassificationProblem):
     def _unpack(self, params):
         return params.reshape(self.spec.n_classes, self.spec.d)
 
+    def _logits(self, feats, params):
+        return feats @ self._unpack(params).T
+
     def _batch_loss_grad(self, feats, labels, params):
-        w = self._unpack(params)
-        probs = _softmax(feats @ w.T)
+        probs = _softmax(self._logits(feats, params))
         m = len(labels)
-        loss = float(-np.mean(np.log(probs[np.arange(m), labels] + 1e-300)))
+        loss = _mean_nll(probs, labels)
         probs[np.arange(m), labels] -= 1.0
         grad = (probs.T @ feats) / m
         return loss, grad.ravel()
 
-    def _stacked_loss_grad(self, table, counts, X):
-        # batched matmuls over (agents, batch, .) stacks; padding rows of the
-        # table are masked out of the loss and the gradient
-        n, width = table.shape
+    def _stacked_loss_grad(self, batches, X):
+        # batched matmuls over (agents, batch, .) stacks; padding entries of
+        # the table are masked out of the loss and the gradient
+        n = len(X)
         k, d = self.spec.n_classes, self.spec.d
-        mask = np.arange(width) < counts[:, None]
-        feats = self.features[table]
-        labels = self.labels[table]
+        counts, mask, agent, slot = batches.counts, batches.mask, batches.agent, batches.slot
+        feats = self.features[batches.table]
+        labels = self.labels[batches.table]
         probs = _softmax(feats @ X.reshape(n, k, d).transpose(0, 2, 1))
-        agent, row = np.ogrid[:n, :width]
-        log_true = np.log(probs[agent, row, labels] + 1e-300)
+        log_true = np.log(probs[agent, slot, labels] + 1e-300)
         losses = -np.sum(log_true * mask, axis=1) / counts
-        probs[agent, row, labels] -= 1.0
+        probs[agent, slot, labels] -= 1.0
         probs *= mask[:, :, None]
         grads = (probs.transpose(0, 2, 1) @ feats) / counts[:, None, None]
         return losses, grads.reshape(n, k * d)
-
-    def _predict(self, feats, params):
-        return np.argmax(feats @ self._unpack(params).T, axis=1)
 
 
 class MlpProblem(_ClassificationProblem):
@@ -456,12 +572,16 @@ class MlpProblem(_ClassificationProblem):
             pos += size
         return out
 
+    def _logits(self, feats, params):
+        w1, b1, w2, b2 = self._unpack(params)
+        return np.tanh(feats @ w1.T + b1) @ w2.T + b2
+
     def _batch_loss_grad(self, feats, labels, params):
         w1, b1, w2, b2 = self._unpack(params)
         m = len(labels)
         a1 = np.tanh(feats @ w1.T + b1)
         probs = _softmax(a1 @ w2.T + b2)
-        loss = float(-np.mean(np.log(probs[np.arange(m), labels] + 1e-300)))
+        loss = _mean_nll(probs, labels)
         dz2 = probs
         dz2[np.arange(m), labels] -= 1.0
         dz2 /= m
@@ -472,10 +592,6 @@ class MlpProblem(_ClassificationProblem):
         dw1 = dz1.T @ feats
         db1 = dz1.sum(axis=0)
         return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-
-    def _predict(self, feats, params):
-        w1, b1, w2, b2 = self._unpack(params)
-        return np.argmax(np.tanh(feats @ w1.T + b1) @ w2.T + b2, axis=1)
 
 
 def make_quadratic(spec: SyntheticProblemSpec) -> QuadraticProblem:

@@ -31,6 +31,27 @@ class TestConsensusError:
         scaled = Xbar + 2.5 * (X - Xbar)
         assert consensus_error(scaled) == pytest.approx(2.5**2 * consensus_error(X))
 
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.random.default_rng(1).standard_normal((1024, 32)),
+            np.random.default_rng(2).standard_normal((7, 5)) * 1e300,  # squares overflow
+            np.random.default_rng(3).standard_normal(9),  # 1-D: one agent
+            np.array([[1.0, np.inf], [2.0, 3.0]]),
+            np.array([[1.0, np.nan], [2.0, 3.0]]),
+        ],
+    )
+    def test_matches_two_temporary_form(self, X):
+        # the in-place square sums the same products in the same order
+        before = X.copy()
+        X2 = np.atleast_2d(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = X2 - X2.mean(axis=0)
+            expected = float(np.sum(centered * centered) / X2.shape[0])
+            got = consensus_error(X)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+        assert np.array_equal(X, before, equal_nan=True)  # the input is not squared
+
 
 class TestRunConsensus:
     def test_complete_graph_hand_rounds(self):

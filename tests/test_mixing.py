@@ -187,8 +187,12 @@ class TestNeighbourTable:
         W = irregular_graph()
         degrees = [edge_scan_degree(W, i) for i in range(W.n)]
         assert len(set(degrees)) > 1
-        expected = int(sum(degrees) / len(degrees) * 7)
+        # the exact mean degree times d, rounded once; not truncated
+        expected = sum(degrees) * 7 / len(degrees)
+        assert expected != int(expected)
         assert comm_cost(AlgorithmSpec(kind="GUT", eta=0.1), 7, W) == expected
+        small = irregular_graph(40, 7, 0)
+        assert comm_cost(AlgorithmSpec(kind="GUT", eta=0.1), 3, small) == 7.05
 
 
 def quad_oracle(b):

@@ -83,9 +83,91 @@ class TestSubstreams:
             list(substreams(0, [2**32], 0))
 
 
+# numpy's PCG64 (XSL-RR output of the 128-bit LCG state after each step)
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = 2**64 - 1
+
+
+def pcg64_emitting(first: int) -> np.random.PCG64:
+    """A PCG64 whose next raw word is ``first``: the state is solved backwards."""
+    hi, inc = 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB
+    rot = hi >> 58
+    lo = (((first << rot) | (first >> (64 - rot))) & MASK64) ^ hi
+    before = ((((hi << 64) | lo) - inc) * pow(PCG_MULT, -1, 2**128)) % 2**128
+    bit_gen = np.random.PCG64()
+    bit_gen.state = {
+        "bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return bit_gen
+
+
+class TestBoundedDraws:
+    """The vectorised Lemire map against numpy's ``Generator.integers``."""
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33])
+    @pytest.mark.parametrize("bound", [2, 37, 2**32 - 1, 3 * 2**30, 3 * 2**30 + 1])
+    def test_matches_generator_integers(self, size, bound):
+        agents = np.array(AGENTS)
+        for seed in SEEDS:
+            for rnd in ROUNDS:
+                words = models._spawned_state_words(seed, agents, rnd)
+                got = models._bounded_draws(words, np.full(len(agents), bound), size)
+                for agent, row in zip(AGENTS, got):
+                    ref = reference_rng(seed, agent, rnd).integers(0, bound, size=size)
+                    assert np.array_equal(row, ref)
+
+    def test_ragged_bounds_in_one_call(self):
+        agents = np.arange(64)
+        bounds = 1 + np.arange(64) ** 5  # 1 up to about 9.9e8
+        words = models._spawned_state_words(2**40 + 3, agents, 9)
+        got = models._bounded_draws(words, bounds, 33)
+        for agent, bound, row in zip(agents, bounds, got):
+            ref = reference_rng(2**40 + 3, int(agent), 9).integers(0, int(bound), size=33)
+            assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("size", [1, 32])
+    def test_rejections_are_redrawn_by_numpy(self, size, monkeypatch):
+        # near 3 * 2**30 a quarter of all draws is rejected
+        calls = []
+        make = models._generator
+        monkeypatch.setattr(models, "_generator", lambda words: calls.append(1) or make(words))
+        agents = np.arange(200)
+        words = models._spawned_state_words(11, agents, 3)
+        raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(16) for w in words])
+        _, rejected = models._lemire_map(raw, np.full(200, 3 * 2**30, dtype=np.uint64), size)
+        got = models._bounded_draws(words, np.full(200, 3 * 2**30), size)
+        assert len(calls) == rejected.sum() > (30 if size == 1 else 190)
+        for agent, row in zip(agents, got):
+            ref = reference_rng(11, int(agent), 3).integers(0, 3 * 2**30, size=size)
+            assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("bound", [37, 2**32 - 1, 3 * 2**30 + 1, 999_999_937])
+    def test_threshold_is_exact(self, bound):
+        # streams whose first 32 bits land the product's low word exactly on
+        # 2**32 mod bound (numpy accepts) and one below it (numpy rejects);
+        # odd bounds are invertible mod 2**32 and leave a nonzero threshold
+        threshold = 2**32 % bound
+        for leftover, rejects in ((threshold, False), (threshold - 1, True)):
+            u = leftover * pow(bound, -1, 2**32) % 2**32
+            first = (0x7F4A7C15 << 32) | u
+            assert pcg64_emitting(first).random_raw() == first
+            raw = pcg64_emitting(first).random_raw(1)[None]
+            draws, rejected = models._lemire_map(raw, np.array([bound], np.uint64), 1)
+            numpy_draws = np.random.Generator(pcg64_emitting(first)).integers(0, bound, size=1)
+            assert bool(rejected[0]) == rejects
+            assert np.array_equal(draws[0], numpy_draws) != rejects
+
+    def test_bounds_outside_32_bits_rejected(self):
+        words = models._spawned_state_words(0, np.arange(2), 0)
+        for bounds in ([0, 5], [5, 2**32 + 1]):
+            with pytest.raises(ValueError, match="bounds"):
+                models._bounded_draws(words, np.array(bounds), 4)
+
+
 @st.composite
-def problems(draw):
-    kind = draw(st.sampled_from(["quadratic", "softmax", "mlp"]))
+def problems(draw, kinds=("quadratic", "softmax", "mlp")):
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, 5))
     problem_seed = draw(st.integers(0, 2**70))
@@ -136,6 +218,55 @@ class TestBatchedOracle:
         else:
             assert_rel_close(G, ref_G, 1e-12)
         assert_rel_close(losses, ref_losses, 1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=problems(kinds=("softmax", "mlp")),
+        seed=st.integers(0, 2**70),
+        rnd=st.integers(0, 2**33),
+        data=st.data(),
+    )
+    def test_batches_are_draw_batch_bit_for_bit(self, case, seed, rnd, data):
+        problem, sizes = case
+        batch = data.draw(st.integers(1, max(sizes) + 1))
+        tables = []
+        stacked = problem._stacked_loss_grad
+
+        def capture(batches, X):
+            tables.append(batches.table.copy())
+            return stacked(batches, X)
+
+        problem._stacked_loss_grad = capture
+        X = np.random.default_rng(0).standard_normal((problem.n_agents, problem.dim))
+        oracle = make_oracle(problem, batch, seed=seed)
+        _, G = oracle(X, rnd)
+        for agent, size in enumerate(sizes):
+            picked = problem.draw_batch(agent, rnd, batch, seed=seed).indices
+            assert np.array_equal(tables[0][agent, : min(size, batch)], picked)
+        if problem.kind == "mlp":  # the MLP's stacked path is the per-agent one
+            assert np.array_equal(G, reference_oracle(problem, batch, seed)(X, rnd)[1])
+        oracle(X, rnd + 1)
+        for agent in range(problem.n_agents):
+            picked = problem.draw_batch(agent, rnd + 1, batch, seed=seed).indices
+            assert np.array_equal(tables[1][agent, : len(picked)], picked)
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_no_generator_on_the_minibatch_path(self, kind, monkeypatch):
+        built = []
+        generator = np.random.Generator
+        monkeypatch.setattr(
+            np.random, "Generator", lambda bit_gen: built.append(1) or generator(bit_gen)
+        )
+        spec = SyntheticProblemSpec(kind=kind, d=20, n_agents=32, n_samples=8000, hidden=4)
+        problem = make_problem(spec)
+        oracle = make_oracle(problem, 32, seed=5)
+        X = np.zeros((32, problem.dim))
+        for rnd in range(20):
+            oracle(X, rnd)
+        assert built == []
+        # the count sees a per-agent Generator, as the rejection fallback builds
+        list(substreams(5, [0, 1], 0))
+        assert built == [1, 1]
 
     @pytest.mark.parametrize("kind", ["GUT", "QG-GUTm", "DSGD", "GT"])
     def test_quadratic_trajectories_bit_identical(self, kind):
