@@ -28,6 +28,7 @@ can be replayed across formulations.  The oracle must not write into
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,6 +45,7 @@ __all__ = [
     "DivergenceError",
     "HyperparameterCheck",
     "State",
+    "check_eta",
     "check_mu_beta",
     "check_start",
     "init_states",
@@ -94,6 +96,12 @@ def check_mu_beta(mu: float, beta: float) -> None:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
 
 
+def check_eta(eta: float) -> None:
+    """Raise ValueError unless the step size eta is positive and finite."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
 def check_start(X0: np.ndarray, W: MixingMatrix) -> np.ndarray:
     """A C-ordered float copy of X0; ValueError unless it is finite and (W.n, d)."""
     X0 = np.array(X0, dtype=float, order="C")
@@ -117,8 +125,7 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        check_eta(self.eta)
         check_mu_beta(self.mu, self.beta)
 
     def lr(self, rnd: int) -> float:
@@ -358,10 +365,13 @@ class HyperparameterCheck:
 
 def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> HyperparameterCheck:
     """Check eta <= rho/(7L) and mu/(1-mu) <= rho/42."""
+    check_eta(eta)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     eta_max = rho / (7.0 * L)
     mu_max = rho / (42.0 + rho)
     return HyperparameterCheck(

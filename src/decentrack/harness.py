@@ -116,9 +116,10 @@ def run_consensus(
     ``qg-gutm`` additionally filters the applied update through a
     momentum buffer built from realized displacements.  ``gossip`` and
     ``qg-gossip`` are the mu = 0 special cases.  The update applied last
-    round is X - X_prev, so W Y_prev = W X - W X_prev: carrying W X_prev
-    and (W-I) X_prev over leaves one product with W per round, the one
-    d-vector each agent sends to each neighbor.
+    round is X - X_prev, so W Y_prev = W X - W X_prev and the bracket is
+    2 (W X - W X_prev) - (X - X_prev): carrying X_prev and W X_prev over
+    leaves one product with W per round, the one d-vector each agent
+    sends to each neighbor.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")
@@ -135,7 +136,7 @@ def run_consensus(
     if on_round is not None:
         on_round(0, X)
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
-    Xp, WXp, DXp = X, None, None
+    Xp, WXp = X, None
     M = np.zeros_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
@@ -144,19 +145,27 @@ def run_consensus(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             WX = W.mix(X)
-            DX = WX - X  # (W - I) X
             if WXp is None:
-                WXp, DXp = WX, DX
-            bracket = (WX - WXp) - (DXp - DX)  # W Y_prev - (W - I)(X_prev - X)
-            if not use_momentum:
-                Xn = WX + mu * bracket
-            else:
-                M = beta * M + (1.0 - beta) * (X - Xp)
-                Xn = X + (beta * M + (1.0 - beta) * (DX + mu * bracket))
+                WXp = WX
+            # Xn = W X + mu * bracket, with the bracket built in place
+            Xn = np.subtract(WX, WXp)
+            Xn *= 2.0
+            Xn -= X
+            Xn += Xp
+            Xn *= mu
+            Xn += WX
+            if use_momentum:
+                # Xn = X + beta M + (1 - beta) [(W - I) X + mu * bracket]
+                M *= beta
+                M += (1.0 - beta) * (X - Xp)
+                Xn -= X
+                Xn *= 1.0 - beta
+                Xn += beta * M
+                Xn += X
             if not np.all(np.isfinite(Xn)):
                 divergent = True
                 break
-            Xp, X, WXp, DXp = X, Xn, WX, DX
+            Xp, X, WXp = X, Xn, WX
             rows.append(
                 TraceRow(
                     round=t,

@@ -28,6 +28,7 @@ noise still needs one ``Generator`` per agent, for numpy's ziggurat
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -65,10 +66,16 @@ class SyntheticProblemSpec:
     separation: float = 3.0
 
     def __post_init__(self):
+        for name in ("zeta", "sigma", "L", "separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.zeta < 0 or self.sigma < 0 or self.L <= 0:
             raise ValueError("require zeta >= 0, sigma >= 0, L > 0")
         if self.kind not in ("quadratic", "softmax", "mlp"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        for name, least in (("d", 1), ("n_classes", 2), ("hidden", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -444,7 +451,8 @@ class _ClassificationProblem(Problem):
     def _batch_loss_grad(self, feats, labels, params):
         raise NotImplementedError
 
-    def _logits(self, feats, params):
+    def _class_logits(self, cols, params):
+        """Class-major logits (k, m) of the samples in the columns of ``cols`` (d, m)."""
         raise NotImplementedError
 
     def batched_oracle(self, batch_size, seed):
@@ -495,17 +503,20 @@ class _ClassificationProblem(Problem):
         return self._batch_loss_grad(self.features[idx], self.labels[idx], params)
 
     def evaluate(self, params):
+        # class-major: a test sample per column, so the max and the sum
+        # over classes run elementwise across k rows
         if len(self.test_labels) == 0:
             raise ValueError("empty test set")
-        logits = self._logits(self.test_features, params)
-        loss = _mean_nll(_softmax(logits), self.test_labels)
-        return loss, float(np.mean(np.argmax(logits, axis=1) == self.test_labels))
+        logits = self._class_logits(self.test_features.T, params)
+        loss = _mean_nll(_softmax(logits, axis=0).T, self.test_labels)
+        return loss, float(np.mean(np.argmax(logits, axis=0) == self.test_labels))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    z = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
 def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -525,11 +536,11 @@ class SoftmaxProblem(_ClassificationProblem):
     def _unpack(self, params):
         return params.reshape(self.spec.n_classes, self.spec.d)
 
-    def _logits(self, feats, params):
-        return feats @ self._unpack(params).T
+    def _class_logits(self, cols, params):
+        return self._unpack(params) @ cols
 
     def _batch_loss_grad(self, feats, labels, params):
-        probs = _softmax(self._logits(feats, params))
+        probs = _softmax(feats @ self._unpack(params).T)
         m = len(labels)
         loss = _mean_nll(probs, labels)
         probs[np.arange(m), labels] -= 1.0
@@ -537,19 +548,20 @@ class SoftmaxProblem(_ClassificationProblem):
         return loss, grad.ravel()
 
     def _stacked_loss_grad(self, batches, X):
-        # batched matmuls over (agents, batch, .) stacks; padding entries of
+        # class-major (agents, classes, batch) stacks: the max and the sum
+        # over classes run elementwise across k rows; padding entries of
         # the table are masked out of the loss and the gradient
         n = len(X)
         k, d = self.spec.n_classes, self.spec.d
         counts, mask, agent, slot = batches.counts, batches.mask, batches.agent, batches.slot
         feats = self.features[batches.table]
         labels = self.labels[batches.table]
-        probs = _softmax(feats @ X.reshape(n, k, d).transpose(0, 2, 1))
-        log_true = np.log(probs[agent, slot, labels] + 1e-300)
+        probs = _softmax(X.reshape(n, k, d) @ feats.transpose(0, 2, 1), axis=1)
+        log_true = np.log(probs[agent, labels, slot] + 1e-300)
         losses = -np.sum(log_true * mask, axis=1) / counts
-        probs[agent, slot, labels] -= 1.0
-        probs *= mask[:, :, None]
-        grads = (probs.transpose(0, 2, 1) @ feats) / counts[:, None, None]
+        probs[agent, labels, slot] -= 1.0
+        probs *= mask[:, None, :]
+        grads = (probs @ feats) / counts[:, None, None]
         return losses, grads.reshape(n, k * d)
 
 
@@ -572,9 +584,9 @@ class MlpProblem(_ClassificationProblem):
             pos += size
         return out
 
-    def _logits(self, feats, params):
+    def _class_logits(self, cols, params):
         w1, b1, w2, b2 = self._unpack(params)
-        return np.tanh(feats @ w1.T + b1) @ w2.T + b2
+        return w2 @ np.tanh(w1 @ cols + b1[:, None]) + b2[:, None]
 
     def _batch_loss_grad(self, feats, labels, params):
         w1, b1, w2, b2 = self._unpack(params)

@@ -186,6 +186,34 @@ class TestTrainSubcommand:
         assert message in capsys.readouterr().err
 
 
+class TestNonFiniteAndDegenerateValues:
+    """Non-finite or degenerate values are config errors (exit 1), not runs."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("train", "--algorithm.eta=nan"), "eta must be positive and finite, got nan"),
+            (("train", "--algorithm.eta=inf"), "eta must be positive and finite, got inf"),
+            (("train", "--problem.zeta=nan"), "zeta must be finite, got nan"),
+            (("train", "--problem.sigma=inf"), "sigma must be finite, got inf"),
+            (
+                ("train", "--problem.kind=quadratic", "--problem.sigma=nan"),
+                "sigma must be finite, got nan",
+            ),
+            (("validate", "--problem.L=nan"), "L must be positive and finite, got nan"),
+            (("train", "--problem.classes=0"), "n_classes must be >= 2, got 0"),
+            (("train", "--problem.classes=1"), "n_classes must be >= 2, got 1"),
+            (("train", "--problem.d=0"), "d must be >= 1, got 0"),
+            (("train", "--problem.kind=mlp", "--problem.hidden=0"), "hidden must be >= 1, got 0"),
+        ],
+    )
+    def test_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run_cli(*args, "--run.rounds=2", "--run.seeds=1", f"--run.output_dir={out}") == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestEquivalenceSubcommand:
     def test_default_passes(self, tmp_path, capsys):
         out = tmp_path / "out"

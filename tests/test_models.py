@@ -169,6 +169,39 @@ class TestClassification:
         assert np.array_equal(a.indices, b.indices)
 
 
+# exp overflows above this, so logits beyond it need the max shift
+EXP_LIMIT = np.log(np.finfo(float).max)
+
+
+def row_major_evaluate(prob, params):
+    """Test loss, accuracy and logits, with one test sample per row of the logits."""
+    feats, labels = prob.test_features, prob.test_labels
+    if prob.kind == "softmax":
+        logits = feats @ params.reshape(prob.spec.n_classes, prob.spec.d).T
+    else:
+        w1, b1, w2, b2 = prob._unpack(params)
+        logits = np.tanh(feats @ w1.T + b1) @ w2.T + b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[np.arange(len(labels)), labels] + 1e-300))
+    return float(loss), float(np.mean(np.argmax(logits, axis=1) == labels)), logits
+
+
+class TestClassMajorEvaluate:
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_matches_row_major_transcription(self, kind, scale):
+        prob = make_problem(classification_spec(kind, n_classes=10, n_samples=2000))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            params = scale * rng.standard_normal(prob.dim)
+            loss, acc = prob.evaluate(params)
+            ref_loss, ref_acc, logits = row_major_evaluate(prob, params)
+            assert scale == 1.0 or np.abs(logits).max() > EXP_LIMIT
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert acc == ref_acc
+
+
 class TestFiniteDiffCheck:
     @pytest.mark.parametrize(
         "kind,bound", [("quadratic", 1e-8), ("softmax", 1e-5), ("mlp", 1e-5)]

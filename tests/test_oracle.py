@@ -332,3 +332,25 @@ class TestBatchedOracle:
             oracle(X, 0)
         with pytest.raises(ValueError, match="parameters"):
             oracle(np.zeros((1, 3)), 0)
+
+
+class TestClassMajorSoftmaxOracle:
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("batch", [None, 32])
+    def test_matches_loss_and_grad(self, scale, batch):
+        # ragged local sets: with batch 32 the first four agents use their
+        # full sets (padded in the index table), the rest sample
+        spec = SyntheticProblemSpec(
+            kind="softmax", d=6, n_agents=8, seed=3, n_classes=10, n_samples=400
+        )
+        sizes = [1, 3, 10, 30, 50, 70, 100, 136]
+        perm = np.random.default_rng(0).permutation(spec.n_samples)
+        problem = make_problem(spec, assignments=np.split(perm, np.cumsum(sizes)[:-1]))
+        X = scale * np.random.default_rng(1).standard_normal((spec.n_agents, problem.dim))
+        logits = X.reshape(spec.n_agents, spec.n_classes, spec.d) @ problem.features.T
+        assert scale == 1.0 or np.abs(logits).max() > np.log(np.finfo(float).max)
+        for rnd in (0, 7):
+            losses, G = make_oracle(problem, batch, seed=4)(X, rnd)
+            ref_losses, ref_G = reference_oracle(problem, batch, 4)(X, rnd)
+            assert_rel_close(G, ref_G, 1e-12)
+            assert_rel_close(losses, ref_losses, 1e-12)
