@@ -9,7 +9,6 @@ controlled heterogeneity.
 """
 
 from .algorithms import (
-    AgentState,
     AlgorithmSpec,
     DivergenceError,
     HyperparameterCheck,
@@ -23,7 +22,6 @@ from .harness import (
     EquivalenceReport,
     MetricTrace,
     TrainingResult,
-    average_model,
     check_equivalence,
     consensus_error,
     run_consensus,
@@ -51,7 +49,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "AlgorithmSpec",
     "Batch",
     "DivergenceError",
@@ -66,7 +63,6 @@ __all__ = [
     "SyntheticProblemSpec",
     "TrainingResult",
     "ValidationReport",
-    "average_model",
     "build_topology",
     "check_equivalence",
     "comm_cost",

@@ -28,8 +28,8 @@ can be replayed across formulations.  The oracle must not write into
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -40,7 +40,6 @@ from .topology import MixingMatrix
 
 __all__ = [
     "KINDS",
-    "AgentState",
     "AlgorithmSpec",
     "DivergenceError",
     "HyperparameterCheck",
@@ -67,27 +66,6 @@ class DivergenceError(RuntimeError):
         self.round = rnd
 
 
-@dataclass
-class AgentState:
-    """One agent's buffers at a round boundary.
-
-    ``s`` is the weighted neighborhood aggregate sum_j w_ij x_j, ``y_prev``
-    and ``delta_prev`` the tracking history (GT reuses ``delta_prev`` for
-    its previous gradient), ``m`` the momentum buffer, ``bias`` the B
-    column of the bias-correction form and ``x_prev`` the previous
-    parameters (initialized to x itself).
-    """
-
-    x: np.ndarray
-    s: np.ndarray
-    y_prev: np.ndarray
-    delta_prev: np.ndarray
-    m: np.ndarray
-    bias: np.ndarray
-    x_prev: np.ndarray
-    round: int = 0
-
-
 def check_mu_beta(mu: float, beta: float) -> None:
     """Raise ValueError unless the tracking weight mu and momentum beta lie in [0, 1)."""
     if not 0 <= mu < 1:
@@ -103,10 +81,10 @@ def check_eta(eta: float) -> None:
 
 
 def check_start(X0: np.ndarray, W: MixingMatrix) -> np.ndarray:
-    """A C-ordered float copy of X0; ValueError unless it is finite and (W.n, d)."""
+    """A C-ordered float copy of X0; ValueError unless it is finite and (W.n, d), d >= 1."""
     X0 = np.array(X0, dtype=float, order="C")
-    if X0.ndim != 2 or X0.shape[0] != W.n:
-        raise ValueError(f"X0 must be ({W.n}, d), got shape {X0.shape}")
+    if X0.ndim != 2 or X0.shape[0] != W.n or X0.shape[1] == 0:
+        raise ValueError(f"X0 must be ({W.n}, d) with d >= 1, got shape {X0.shape}")
     if not np.all(np.isfinite(X0)):
         raise ValueError("X0 must be finite")
     return X0
@@ -139,12 +117,16 @@ class AlgorithmSpec:
 class State:
     """All agents' buffers at a round boundary, one ``(n, d)`` array each.
 
-    Row i of ``X, S, Y, D, M, B, Xp`` is agent i's ``x, s, y_prev,
-    delta_prev, m, bias, x_prev``.  ``len``, iteration and indexing give
-    per-agent ``AgentState`` views of the rows.  ``losses`` holds the
-    oracle's per-agent losses from the round that produced the state
-    (None initially).  Rounds never write into a state's arrays; each
-    returns a new state.
+    Row i is agent i.  ``X`` holds the parameters and ``Xp`` the previous
+    ones (X itself initially).  ``S`` is the weighted neighborhood
+    aggregate sum_j w_ij x_j, ``Y`` and ``D`` the tracking history y_prev
+    and delta_prev (GT keeps its previous gradient in ``D``), ``M`` the
+    momentum buffer and ``B`` the B column of the bias-correction form.
+    A round returns only the buffers its rule changes and carries the rest
+    over, so a buffer is current only for the kinds whose rule keeps it.
+    ``losses`` holds the oracle's per-agent losses from the round that
+    produced the state (None initially).  Rounds never write into a
+    state's arrays; each returns a new state.
     """
 
     X: np.ndarray
@@ -157,59 +139,37 @@ class State:
     round: int = 0
     losses: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    def __getitem__(self, i: int) -> AgentState:
-        i = operator.index(i)
-        return AgentState(
-            x=self.X[i], s=self.S[i], y_prev=self.Y[i], delta_prev=self.D[i],
-            m=self.M[i], bias=self.B[i], x_prev=self.Xp[i], round=self.round,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def advance(self, *, X, S, Y, D, M=None, B=None, losses=None) -> State:
+    def advance(self, *, X, losses=None, **changed) -> State:
         """The next round's state; raises DivergenceError on non-finite X."""
         finite = np.isfinite(X)
         if not finite.all():
             raise DivergenceError(int(np.argmin(finite.all(axis=1))), self.round)
-        return State(
-            X=X, S=S, Y=Y, D=D,
-            M=self.M if M is None else M,
-            B=self.B if B is None else B,
-            Xp=self.X,
-            round=self.round + 1,
-            losses=losses,
+        return dataclasses.replace(
+            self, X=X, Xp=self.X, round=self.round + 1, losses=losses, **changed
         )
 
 
-def init_states(X0: np.ndarray, W: MixingMatrix, spec: AlgorithmSpec) -> State:
+def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
     """Initial state: S = W X0, x_prev = X0, all other buffers zero."""
     X0 = check_start(X0, W)
     Y, D, M, B = (np.zeros_like(X0) for _ in range(4))
     return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
 
 
-# Each rule maps (state, W, G, eta, mu, beta) to the next state's arrays,
-# where G is the round's gradient, taken at the point its RULES entry names.
-
-
-def _gossip_step(st, W, G, eta, Xn, M):
-    """The baselines' shared tail: Xn is already mixed, y the realized step."""
-    return dict(X=Xn, S=W.mix(Xn), Y=(st.X - Xn) / eta, D=G, M=M)
+# Each rule maps (state, W, G, eta, mu, beta) to the arrays of the next
+# state that it changes, X among them, where G is the round's gradient,
+# taken at the point its RULES entry names.
 
 
 def _dsgd(st, W, G, eta, mu, beta):
-    return _gossip_step(st, W, G, eta, W.mix(st.X - eta * G), st.M)
+    return dict(X=W.mix(st.X - eta * G))
 
 
 def _dsgdm(st, W, G, eta, mu, beta, nesterov):
     """Heavy-ball on the local gradient; Nesterov steps along g + beta*m."""
     M = beta * st.M + G
     step = G + beta * M if nesterov else M
-    return _gossip_step(st, W, G, eta, W.mix(st.X - eta * step), M)
+    return dict(X=W.mix(st.X - eta * step), M=M)
 
 
 def _qg_dsgdm(st, W, G, eta, mu, beta, nesterov):
@@ -217,7 +177,7 @@ def _qg_dsgdm(st, W, G, eta, mu, beta, nesterov):
     Nesterov looks ahead with beta*m + (1 - beta)*g in place of m."""
     look = beta * st.M + (1.0 - beta) * G if nesterov else st.M
     Xn = W.mix(st.X - eta * (G + beta * look))
-    return _gossip_step(st, W, G, eta, Xn, beta * st.M + (1.0 - beta) * (st.X - Xn) / eta)
+    return dict(X=Xn, M=beta * st.M + (1.0 - beta) * (st.X - Xn) / eta)
 
 
 def _gt(st, W, G, eta, mu, beta):
@@ -226,8 +186,7 @@ def _gt(st, W, G, eta, mu, beta):
     Both x and y are exchanged; y starts at the first local gradient.
     """
     Y = G if st.round == 0 else W.mix(st.Y) - st.D + G
-    Xn = W.mix(st.X - eta * Y)
-    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=G)
+    return dict(X=W.mix(st.X - eta * Y), Y=Y, D=G)
 
 
 def _around_mix(st, W, G, eta, delta, mc):

@@ -24,7 +24,6 @@ __all__ = [
     "EquivalenceReport",
     "CSV_HEADER",
     "consensus_error",
-    "average_model",
     "run_consensus",
     "run_training",
     "check_equivalence",
@@ -93,12 +92,6 @@ def consensus_error(X: np.ndarray) -> float:
     centered = X - X.mean(axis=0)
     np.multiply(centered, centered, out=centered)
     return float(np.sum(centered) / X.shape[0])
-
-
-def average_model(states) -> np.ndarray:
-    if not len(states):
-        raise ValueError("average_model needs at least one agent state")
-    return np.mean(states.X, axis=0)
 
 
 def run_consensus(
@@ -230,7 +223,7 @@ def run_training(
         x0 = 0.1 * rng.standard_normal(d)
         X0 = np.tile(x0, (W.n, 1))
         oracle = models.make_oracle(problem, batch_size, seed=seed)
-        states = init_states(X0, W, spec)
+        states = init_states(X0, W)
         rows: list[TraceRow] = []
         divergent = False
         # overflow on a diverging run is expected and surfaces as the
@@ -250,7 +243,7 @@ def run_training(
                     comm_scalars=scalars_per_round * (t + 1),
                 )
                 if (t + 1) % eval_every == 0 or t == T - 1:
-                    loss, acc = problem.evaluate(average_model(states))
+                    loss, acc = problem.evaluate(np.mean(states.X, axis=0))
                     row.avg_model_loss = loss
                     row.avg_model_accuracy = acc
                 rows.append(row)
@@ -322,13 +315,13 @@ def check_equivalence(
     """
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dim)
-    X0 = np.tile(x0, (W.n, 1))
+    start = init_states(np.tile(x0, (W.n, 1)), W)
     oracle = models.make_oracle(problem, batch_size=None, seed=seed)
     trajectories: dict[str, list[np.ndarray]] = {}
     diverged_at: dict[str, int | None] = {}
     for kind in GUT_FAMILY:
         form_spec = dataclasses.replace(spec, kind=kind)
-        state = init_states(X0, W, form_spec)
+        state = start
         traj = []
         diverged_at[kind] = None
         try:

@@ -2,7 +2,7 @@
 
 Three problem families share one gradient-oracle interface:
 
-* quadratic  - f_i(x) = 0.5 ||x - b_i||^2 with analytically known optimum,
+* quadratic  - f_i(x) = (L/2) ||x - b_i||^2 with analytically known optimum,
   exact inter-agent gradient deviation (zeta) and injected Gaussian
   gradient noise (sigma).
 * softmax    - multinomial logistic regression on Gaussian class clusters.
@@ -315,11 +315,13 @@ class Problem:
 
 
 class QuadraticProblem(Problem):
-    """f_i(x) = 0.5 ||x - b_i||^2 with b_i = b_bar + zeta * u_i.
+    """f_i(x) = (L/2) ||x - b_i||^2 with b_i = b_bar + zeta * u_i.
 
-    The direction vectors u_i sum to zero and have unit mean squared norm,
-    so the inter-agent gradient deviation (1/n) sum ||grad_i - grad||^2
-    equals zeta^2 at every x.  L = 1, x* = b_bar, f* = zeta^2 / 2.
+    L is the curvature: every f_i is L-smooth and L-strongly convex, and
+    the gradient L (x - b_i) carries sigma-scaled Gaussian noise.  The
+    direction vectors u_i sum to zero and have unit mean squared norm, so
+    the inter-agent gradient deviation (1/n) sum ||grad_i - grad||^2
+    equals (L zeta)^2 at every x.  x* = b_bar, f* = L zeta^2 / 2.
     """
 
     kind = "quadratic"
@@ -332,6 +334,7 @@ class QuadraticProblem(Problem):
         self.n_agents = spec.n_agents
         self.seed = spec.seed
         self.sigma = spec.sigma
+        self.L = spec.L
         rng = np.random.default_rng(spec.seed)
         b_bar = rng.normal(size=spec.d)
         if spec.zeta > 0:
@@ -342,7 +345,7 @@ class QuadraticProblem(Problem):
             u = np.zeros((spec.n_agents, spec.d))
         self.b = b_bar + spec.zeta * u
         self.x_star = b_bar
-        self.f_star = 0.5 * spec.zeta**2
+        self.f_star = 0.5 * spec.L * spec.zeta**2
 
     def draw_batch(self, agent, rnd, batch_size=None, seed=None):
         return Batch(
@@ -354,8 +357,8 @@ class QuadraticProblem(Problem):
         if not np.all(np.isfinite(params)):
             raise ValueError(f"non-finite parameters supplied to agent {agent}")
         diff = params - self.b[agent]
-        loss = 0.5 * float(diff @ diff)
-        grad = diff
+        loss = 0.5 * self.L * float(diff @ diff)
+        grad = self.L * diff
         if self.sigma > 0:
             rng = _substream_rng(batch.substream)
             grad = grad + self.sigma * rng.standard_normal(self.dim)
@@ -363,7 +366,7 @@ class QuadraticProblem(Problem):
 
     def exact_loss_and_grad(self, agent, params):
         diff = params - self.b[agent]
-        return 0.5 * float(diff @ diff), diff.copy()
+        return 0.5 * self.L * float(diff @ diff), self.L * diff
 
     def batched_oracle(self, batch_size, seed):
         # standard_normal needs numpy's ziggurat, so each agent keeps its
@@ -372,20 +375,21 @@ class QuadraticProblem(Problem):
 
         def oracle(X, rnd):
             self._check_params(X)
-            diff = X - self.b
-            losses = 0.5 * np.einsum("ij,ij->i", diff, diff)
+            G = X - self.b
+            losses = 0.5 * self.L * np.einsum("ij,ij->i", G, G)
+            G *= self.L
             if keys is not None:
-                noise = np.empty_like(diff)
+                noise = np.empty_like(G)
                 for row, words in zip(noise, keys.state_words(rnd)):
                     _generator(words).standard_normal(out=row)
-                diff = diff + self.sigma * noise
-            return losses, diff
+                G += self.sigma * noise
+            return losses, G
 
         return oracle
 
     def global_loss(self, params):
         diff = params - self.x_star
-        return 0.5 * float(diff @ diff) + self.f_star
+        return 0.5 * self.L * float(diff @ diff) + self.f_star
 
     def evaluate(self, params):
         return self.global_loss(params), None

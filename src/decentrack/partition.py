@@ -8,6 +8,7 @@ contiguous blocks.  Small alpha concentrates each class on few agents
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ def dirichlet_partition(
     at most 100 times.
     """
     labels = np.asarray(labels)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n_agents < 1 or n_agents > len(labels):
         raise ValueError(
             f"n_agents must be in [1, {len(labels)}], got {n_agents}"

@@ -219,16 +219,17 @@ def spectral_stats(mixing: MixingMatrix) -> SpectralStats:
 
 
 def _connected(w: np.ndarray) -> bool:
-    n = w.shape[0]
-    seen = {0}
+    """Whether the graph with an edge wherever w_ij > 0 or w_ji > 0 is connected."""
+    linked = (w > 0) | (w.T > 0)
+    seen = np.zeros(w.shape[0], dtype=bool)
+    seen[0] = True
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for j in range(n):
-            if j not in seen and (w[i, j] > 0 or w[j, i] > 0):
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+        new = np.flatnonzero(linked[i] & ~seen)
+        seen[new] = True
+        frontier.extend(new.tolist())
+    return bool(seen.all())
 
 
 def validate_mixing(mixing: MixingMatrix | np.ndarray) -> ValidationReport:

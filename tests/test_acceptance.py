@@ -94,8 +94,8 @@ def test_acceptance_3_mu_zero_reductions():
 
     def one_round(kind, mu):
         spec = AlgorithmSpec(kind=kind, eta=0.2, mu=mu)
-        states = run_round(init_states(X0, W, spec), W, spec, oracle)
-        return np.stack([st.x for st in states])
+        states = run_round(init_states(X0, W), W, spec, oracle)
+        return states.X
 
     S = W.weights @ X0
     exact_step = np.array_equal(one_round("GUT", 0.0), S - 0.2 * (S - b))

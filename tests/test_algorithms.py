@@ -33,11 +33,11 @@ def quad_oracle(b):
 
 def run_trajectory(kind, W, X0, oracle, T, **hp):
     spec = AlgorithmSpec(kind=kind, **hp)
-    states = init_states(np.asarray(X0, dtype=float), W, spec)
+    states = init_states(np.asarray(X0, dtype=float), W)
     out = []
     for _ in range(T):
         states = run_round(states, W, spec, oracle)
-        out.append(np.stack([st.x for st in states]))
+        out.append(states.X)
     return out
 
 
@@ -45,30 +45,32 @@ class TestInitStates:
     def test_identical_rows_aggregate_is_self(self):
         W = build_topology("ring", 8)
         X0 = np.tile(np.arange(3.0), (8, 1))
-        for st in init_states(X0, W, AlgorithmSpec(kind="GUT", eta=0.1)):
-            assert np.array_equal(st.s, st.x)
+        states = init_states(X0, W)
+        assert np.array_equal(states.S, states.X)
 
     def test_two_agent_aggregate(self):
-        states = init_states(
-            np.array([[0.0], [2.0]]), UNIFORM2, AlgorithmSpec(kind="GUT", eta=0.1)
-        )
-        assert [st.s[0] for st in states] == [1.0, 1.0]
+        states = init_states(np.array([[0.0], [2.0]]), UNIFORM2)
+        assert states.S[:, 0].tolist() == [1.0, 1.0]
 
     def test_buffers_zero(self):
         W = build_topology("ring", 4)
         X0 = np.random.default_rng(0).standard_normal((4, 3))
-        for st in init_states(X0, W, AlgorithmSpec(kind="GUT", eta=0.1)):
-            for buf in (st.y_prev, st.delta_prev, st.m, st.bias):
-                assert np.all(buf == 0)
-            assert np.array_equal(st.x_prev, st.x)
+        states = init_states(X0, W)
+        for buf in (states.Y, states.D, states.M, states.B):
+            assert np.all(buf == 0)
+        assert np.array_equal(states.Xp, states.X)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="must be"):
-            init_states(np.zeros((3, 2)), UNIFORM2, AlgorithmSpec(kind="GUT", eta=0.1))
+            init_states(np.zeros((3, 2)), UNIFORM2)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            init_states(np.zeros((8, 0)), build_topology("ring", 8))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            init_states(np.full((2, 1), np.inf), UNIFORM2, AlgorithmSpec(kind="GUT", eta=0.1))
+            init_states(np.full((2, 1), np.inf), UNIFORM2)
 
 
 class TestTrackedUpdateRound:
@@ -116,12 +118,10 @@ class TestTrackedUpdateRound:
         oracle = quad_oracle(rng.standard_normal((8, 3)))
         for kind in ("GUT", "GUT-memeff", "QG-GUTm"):
             spec = AlgorithmSpec(kind=kind, eta=0.1, mu=0.15, beta=0.9)
-            states = init_states(X0, W, spec)
+            states = init_states(X0, W)
             for _ in range(10):
                 states = run_round(states, W, spec, oracle)
-                X = np.stack([st.x for st in states])
-                S = np.stack([st.s for st in states])
-                assert np.max(np.abs(S - W.weights @ X)) <= 1e-10
+                assert np.max(np.abs(states.S - W.weights @ states.X)) <= 1e-10
 
     def test_one_oracle_call_at_the_rule_point_and_losses_returned(self):
         W = build_topology("ring", 8)
@@ -138,7 +138,7 @@ class TestTrackedUpdateRound:
                 return out
 
             spec = AlgorithmSpec(kind=kind, eta=0.1, mu=0.1, beta=0.5)
-            states = init_states(X0, W, spec)
+            states = init_states(X0, W)
             assert states.losses is None
             states = run_round(states, W, spec, oracle)
             (point, rnd, losses), = calls
@@ -148,7 +148,7 @@ class TestTrackedUpdateRound:
 
     def test_divergence_error_names_agent_and_round(self):
         spec = AlgorithmSpec(kind="GUT", eta=1e150, mu=0.0)
-        states = init_states(np.array([[1.0], [1.0]]), UNIFORM2, spec)
+        states = init_states(np.array([[1.0], [1.0]]), UNIFORM2)
         with pytest.raises(DivergenceError, match="agent 0, round 0"):
             run_round(states, UNIFORM2, spec, quad_oracle([[1e200], [1e200]]))
 
@@ -305,11 +305,10 @@ class TestGradientTracking:
             return np.zeros(len(X)), g.copy()
 
         spec = AlgorithmSpec(kind="GT", eta=0.1)
-        states = init_states(np.array([[0.0], [2.0]]), UNIFORM2, spec)
+        states = init_states(np.array([[0.0], [2.0]]), UNIFORM2)
         states = run_round(states, UNIFORM2, spec, oracle)
         states = run_round(states, UNIFORM2, spec, oracle)
-        Y = np.stack([st.y_prev for st in states])
-        assert np.allclose(Y, np.tile(g.mean(axis=0), (2, 1)), atol=1e-12)
+        assert np.allclose(states.Y, np.tile(g.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_double_communication_cost(self):
         W = build_topology("ring", 16)

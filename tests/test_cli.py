@@ -205,6 +205,11 @@ class TestNonFiniteAndDegenerateValues:
             (("train", "--problem.classes=1"), "n_classes must be >= 2, got 1"),
             (("train", "--problem.d=0"), "d must be >= 1, got 0"),
             (("train", "--problem.kind=mlp", "--problem.hidden=0"), "hidden must be >= 1, got 0"),
+            (("consensus", "--consensus.d=0"), "X0 must be (16, d) with d >= 1, got shape (16, 0)"),
+            (("train", "--partition.alpha=nan"), "alpha must be positive and finite, got nan"),
+            (("train", "--partition.alpha=inf"), "alpha must be positive and finite, got inf"),
+            (("partition", "--partition.alpha=nan"), "alpha must be positive and finite, got nan"),
+            (("partition", "--partition.alpha=inf"), "alpha must be positive and finite, got inf"),
         ],
     )
     def test_config_error(self, tmp_path, capsys, args, message):

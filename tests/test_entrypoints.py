@@ -1,5 +1,6 @@
-"""Exit codes, divergent equivalence runs and the ``python -m`` entry point."""
+"""Exit codes, divergent equivalence runs, the ``python -m`` entry point and the exports."""
 
+import importlib
 import json
 import math
 import os
@@ -148,3 +149,14 @@ def test_traces_independent_of_blas_threads(tmp_path, args, csvs):
         assert proc.returncode == 0, proc.stderr
         blobs.append(b"".join((out / name).read_bytes() for name in csvs))
     assert blobs[0] == blobs[1]
+
+
+MODULES = ("algorithms", "cli", "harness", "models", "partition", "topology")
+
+
+@pytest.mark.parametrize("module", [None, *MODULES])
+def test_every_exported_name_resolves(module):
+    mod = decentrack if module is None else importlib.import_module(f"decentrack.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)

@@ -193,12 +193,11 @@ class TestAgainstReferenceRecursions:
             on_round=lambda t, X: trace_states.append(X.copy()),
         )
         spec = AlgorithmSpec(kind="QG-GUTm", eta=1.0, mu=0.0, beta=0.9)
-        states = init_states(X0, W, spec)
+        states = init_states(X0, W)
         max_dev = 0.0
         for t in range(1, 11):
             states = run_round(states, W, spec, lambda X, r: (np.zeros(len(X)), np.zeros_like(X)))
-            X = np.stack([st.x for st in states])
-            max_dev = max(max_dev, float(np.max(np.abs(X - trace_states[t]))))
+            max_dev = max(max_dev, float(np.max(np.abs(states.X - trace_states[t]))))
         assert max_dev > 1e-3
 
 

@@ -5,10 +5,8 @@ import pytest
 
 from decentrack import topology
 from decentrack.algorithms import (
-    AgentState,
     AlgorithmSpec,
     DivergenceError,
-    State,
     comm_cost,
     init_states,
     run_round,
@@ -204,26 +202,10 @@ def quad_oracle(b):
 
 
 class TestState:
-    def test_rows_are_agent_views(self):
-        W = build_topology("ring", 8)
-        X0 = np.random.default_rng(0).standard_normal((8, 3))
-        state = init_states(X0, W, AlgorithmSpec(kind="GUT", eta=0.1))
-        assert isinstance(state, State)
-        assert len(state) == 8
-        agents = list(state)
-        assert all(isinstance(st, AgentState) for st in agents)
-        assert np.array_equal(np.stack([st.x for st in agents]), X0)
-        assert np.array_equal(state[-1].s, state.S[7])
-        assert state[3].round == 0
-        with pytest.raises(IndexError):
-            state[8]
-        with pytest.raises(TypeError):
-            state[1:3]
-
     def test_init_state_owns_its_arrays(self):
         W = build_topology("ring", 4)
         X0 = np.ones((4, 2))
-        state = init_states(X0, W, AlgorithmSpec(kind="GUT", eta=0.1))
+        state = init_states(X0, W)
         X0[:] = 5.0
         assert np.all(state.X == 1.0) and np.all(state.Xp == 1.0)
 
@@ -232,7 +214,7 @@ class TestState:
         rng = np.random.default_rng(1)
         X0 = rng.standard_normal((8, 3))
         spec = AlgorithmSpec(kind="GUT", eta=0.1, mu=0.1)
-        first = init_states(X0, W, spec)
+        first = init_states(X0, W)
         second = run_round(first, W, spec, quad_oracle(rng.standard_normal((8, 3))))
         assert second.round == 1
         assert second.Xp is first.X
@@ -243,7 +225,7 @@ class TestState:
         b = np.zeros((8, 1))
         b[5] = b[2] = -1e200
         spec = AlgorithmSpec(kind="GUT", eta=1e150)
-        state = init_states(np.zeros((8, 1)), W, spec)
+        state = init_states(np.zeros((8, 1)), W)
         state = run_round(state, W, spec, quad_oracle(np.zeros((8, 1))))
         with pytest.raises(DivergenceError, match="agent 2, round 1") as info:
             run_round(state, W, spec, quad_oracle(b))

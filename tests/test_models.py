@@ -78,6 +78,40 @@ class TestQuadratic:
             prob.loss_and_grad(0, np.full(prob.dim, np.nan), batch)
 
 
+class TestCurvature:
+    """f_i = (L/2) ||x - b_i||^2 at L = 2.5."""
+
+    def test_oracle_matches_per_agent_reference(self):
+        prob = make_quadratic(quad_spec(L=2.5, sigma=0.3))
+        X = np.random.default_rng(5).standard_normal((prob.n_agents, prob.dim))
+        losses, G = make_oracle(prob, seed=4)(X, 7)
+        for i in range(prob.n_agents):
+            loss, grad = prob.loss_and_grad(i, X[i], prob.draw_batch(i, 7, seed=4))
+            assert losses[i] == pytest.approx(loss, rel=1e-12)
+            assert np.array_equal(G[i], grad)
+
+    def test_noise_free_gradient_is_scaled_residual(self):
+        prob = make_quadratic(quad_spec(L=2.5))
+        X = np.random.default_rng(5).standard_normal((prob.n_agents, prob.dim))
+        losses, G = make_oracle(prob)(X, 0)
+        assert np.array_equal(G, 2.5 * (X - prob.b))
+        assert np.allclose(losses, 1.25 * np.sum((X - prob.b) ** 2, axis=1), rtol=1e-14, atol=0)
+
+    def test_gradients_match_central_differences(self):
+        prob = make_quadratic(quad_spec(L=2.5))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            assert finite_diff_check(prob, rng.standard_normal(prob.dim), eps=1e-5) <= 1e-8
+
+    def test_optimum_value(self):
+        prob = make_quadratic(quad_spec(L=2.5, zeta=0.8))
+        assert prob.f_star == 0.5 * 2.5 * 0.8**2
+        assert prob.global_loss(prob.x_star) == prob.f_star
+        x = np.random.default_rng(6).standard_normal(prob.dim)
+        mean_loss = np.mean([prob.exact_loss_and_grad(i, x)[0] for i in range(prob.n_agents)])
+        assert prob.global_loss(x) == pytest.approx(mean_loss, rel=1e-12)
+
+
 class TestNoiseSubstreams:
     def test_same_key_same_noise(self):
         prob = make_quadratic(quad_spec(sigma=0.3))

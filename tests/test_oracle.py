@@ -278,7 +278,7 @@ class TestBatchedOracle:
         X0 = np.random.default_rng(4).standard_normal((32, 4))
         runs = []
         for oracle in (make_oracle(problem, seed=9), reference_oracle(problem, None, 9)):
-            state = init_states(X0, W, spec)
+            state = init_states(X0, W)
             traj = []
             for _ in range(6):
                 state = run_round(state, W, spec, oracle)

@@ -64,7 +64,9 @@ class TestDirichletPartition:
         with pytest.raises(RuntimeError, match=r"alpha=0.01, n_agents=10"):
             dirichlet_partition(labels, 10, alpha=0.01, seed=0, min_per_agent=5)
 
-    @pytest.mark.parametrize("alpha,n_agents", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 999)])
+    @pytest.mark.parametrize(
+        "alpha,n_agents", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 999), (np.nan, 4), (np.inf, 4)]
+    )
     def test_invalid_arguments(self, alpha, n_agents):
         with pytest.raises(ValueError):
             dirichlet_partition(balanced_labels(2, 20), n_agents, alpha=alpha, seed=0)

@@ -120,6 +120,15 @@ class TestValidateMixing:
         report = validate_mixing(np.array([[0.5, 0.5], [0.5 + 1e-16, 0.5 - 1e-16]]))
         assert any("not symmetric" in v for v in report.violations)
 
+    def test_connectivity_of_large_rings(self):
+        ring = build_topology("ring", 1024)
+        assert validate_mixing(ring).ok
+        half = build_topology("ring", 512).weights
+        split = np.zeros((1024, 1024))
+        split[:512, :512] = split[512:, 512:] = half
+        report = validate_mixing(split)
+        assert report.violations == ["graph induced by positive weights is not connected"]
+
     def test_builtins_compliant(self):
         for W in (
             build_topology("ring", 64),
