@@ -16,18 +16,21 @@ reference.
 
 The oracle draws what the reference draws, bit for bit, without its
 per-agent cost.  The SeedSequence hashing of the (seed, agent) part of each
-key runs once per oracle, vectorised over agents (``_KeyPool``); each round
-mixes in only the round's words.  Minibatch indices skip ``Generator``:
-each sampled agent's PCG64 is seeded by numpy from its hashed words, and
-one vectorised pass maps the raw words to indices with numpy's own
-algorithm for ``Generator.integers`` (``_lemire_map``); the rare agent
-whose draws hit a rejection is drawn again by numpy itself.  Quadratic
-noise still needs one ``Generator`` per agent, for numpy's ziggurat
-``standard_normal``.
+key runs once per oracle, vectorised over agents (``_KeyPool``); the words
+of a block of rounds are then mixed in over (round, agent) lanes.
+Minibatch indices are drawn for ``_BLOCK_ROUNDS`` rounds at a time and kept
+until a round outside the block is asked for; a replay redraws them.  No
+bit generator is built for them: numpy's PCG64 is computed in closed form
+from the hashed words (``_pcg64_raw``), and one vectorised pass maps the
+raw words to indices with numpy's own algorithm for ``Generator.integers``
+(``_lemire_map``); the rare row whose draws hit a rejection is drawn again
+by numpy itself.  Quadratic noise still needs one ``Generator`` per agent,
+for numpy's ziggurat ``standard_normal``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -129,20 +132,20 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 
 # generate_state's constants: state word i is pool word i % 4, XORed with
 # _STATE_CONSTS[i] and multiplied by _STATE_CONSTS[i + 1]
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None]
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None, None]
 
 
 class _KeyPool:
-    """``SeedSequence(entropy=seed, spawn_key=(agent, rnd))`` of fixed agents, any round.
+    """``SeedSequence(entropy=seed, spawn_key=(agent, rnd))`` of fixed agents, any rounds.
 
     Replays SeedSequence's entropy mixing and state generation with one
-    uint32 lane per agent.  The round's words come last in the entropy, so
-    the pool after the (seed, agent) words is the same in every round: it
-    is built once, as a (4, n_agents) uint32 array plus the hash constant
-    reached, and ``state_words`` mixes in one round's words.  Words shared
-    by all agents stay Python ints, masked to 32 bits, so only what depends
-    on the agent runs on arrays (whose uint32 arithmetic wraps like the C
-    code).
+    uint32 lane per (round, agent).  The round's words come last in the
+    entropy, so the pool after the (seed, agent) words is the same in every
+    round: it is built once, as a (4, n_agents) uint32 array plus the hash
+    constants that the round's words meet, and ``state_words`` mixes in
+    the words of a block of rounds.  Words shared by all agents stay Python
+    ints, masked to 32 bits, so only what depends on the agent runs on
+    arrays (whose uint32 arithmetic wraps like the C code).
     """
 
     def __init__(self, seed: int, agents: np.ndarray):
@@ -170,29 +173,47 @@ class _KeyPool:
         for word in run[_POOL_SIZE:] + [agents.astype(np.uint32)]:
             for dst in range(_POOL_SIZE):
                 pool[dst] = _mix(pool[dst], hashmix(word))
-        self._pool = np.stack(pool)
+        self._pool = np.stack(pool)[:, None, :]
         self._hash_const = hash_const
+        # round word w meets constants [4w, 4w + 4] of this chain; two
+        # words cover every round below 2**64
+        self._chain = _hash_consts(hash_const, _MULT_A, 2 * _POOL_SIZE)
 
-    def state_words(self, rnd: int) -> np.ndarray:
-        """Row i: the 4 uint64 state words of agent i's (seed, agent, rnd) key."""
-        pool, hash_const = self._pool, self._hash_const
-        for word in _uint32_words(rnd):
-            # hashmix of one word for each pool entry, applied as one column
-            consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
-            hash_const = int(consts[-1])
+    def state_words(self, rounds) -> np.ndarray:
+        """[r, i]: the 4 uint64 state words of agent i's (seed, agent, rounds[r]) key.
+
+        All rounds must split into the same number of 32-bit words: a block
+        never mixes rounds below 2**32 with rounds at or above it.
+        """
+        split = [_uint32_words(rnd) for rnd in rounds]
+        if len({len(words) for words in split}) > 1:
+            raise ValueError("a block of rounds must split into one number of 32-bit words")
+        columns = np.array(split, dtype=np.uint32).T
+        chain = self._chain
+        if len(columns) > 2:
+            chain = _hash_consts(self._hash_const, _MULT_A, _POOL_SIZE * len(columns))
+        pool = self._pool
+        for w, word in enumerate(columns):
+            # hashmix of one word per round for each pool entry, as a
+            # (pool entry, round) array applied across the agents
+            consts = chain[_POOL_SIZE * w : _POOL_SIZE * (w + 1) + 1, None]
             hashed = (word ^ consts[:-1]) * consts[1:]
-            pool = _mix(pool, (hashed ^ (hashed >> 16))[:, None])
+            pool = _mix(pool, (hashed ^ (hashed >> 16))[:, :, None])
         words = np.concatenate((pool, pool))
         words ^= _STATE_CONSTS[:-1]
         words *= _STATE_CONSTS[1:]
         words ^= words >> 16
         # uint64 output reads the uint32 words as little-endian pairs
-        return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+        return (
+            np.ascontiguousarray(words.transpose(1, 2, 0), dtype="<u4")
+            .view("<u8")
+            .astype(np.uint64)
+        )
 
 
 def _spawned_state_words(seed: int, agents: np.ndarray, rnd: int) -> np.ndarray:
     """Row i: ``SeedSequence(entropy=seed, spawn_key=(agents[i], rnd)).generate_state(4, np.uint64)``."""
-    return _KeyPool(seed, agents).state_words(rnd)
+    return _KeyPool(seed, agents).state_words([rnd])[0]
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -247,20 +268,82 @@ def _lemire_map(raw: np.ndarray, bounds: np.ndarray, size: int):
     return draws, rejected.any(axis=1)
 
 
+# Rounds of minibatch indices drawn per pass.  Blocks start at multiples of
+# it, and it divides 2**32, so no block mixes rounds of different word counts.
+_BLOCK_ROUNDS = 16
+
+# numpy's PCG64: a 128-bit LCG stepped before each output, XSL-RR output
+# (O'Neill 2014, https://www.pcg-random.org/paper.html; numpy's pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _pcg64_consts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (16, 4m) limb matrix and (4m,) offset that give PCG64's first m states.
+
+    numpy seeds PCG64 from state words (s_hi, s_lo, i_hi, i_lo) as
+    inc = 2i + 1 and state = (s + inc) * MULT + inc, then steps before each
+    output, so output j reads state_j = A_j (s + inc) + C_j inc mod 2**128
+    with A_j = MULT**(j + 2) and C_j = MULT**(j + 1) + ... + 1.  That is
+    A_j s + 2 (A_j + C_j) i + (A_j + C_j): a constant multiple of each
+    16-bit limb of the words, plus an offset.  Row p is input limb p of the
+    words' little-endian uint16 view; column 4j + k holds the multiples'
+    32-bit limb k of state_j.
+    """
+    matrix = np.zeros((16, 4 * m))
+    offset = np.zeros(4 * m)
+    power, total = _PCG_MULT, 1  # MULT**(j + 1), C_j - MULT**(j + 1)
+    for j in range(m):
+        total = (total + power) & _MASK128
+        power = (power * _PCG_MULT) & _MASK128
+        a, b = power, (power + total) & _MASK128
+        for p in range(16):
+            word, limb = divmod(p, 4)  # words s_hi, s_lo, i_hi, i_lo
+            shift = 16 * limb + (64 if word % 2 == 0 else 0)
+            value = ((a if word < 2 else 2 * b) << shift) & _MASK128
+            matrix[p, 4 * j : 4 * j + 4] = [value >> (32 * k) & _MASK32 for k in range(4)]
+        offset[4 * j : 4 * j + 4] = [b >> (32 * k) & _MASK32 for k in range(4)]
+    matrix.setflags(write=False)
+    offset.setflags(write=False)
+    return matrix, offset
+
+
+def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
+    """Row i: ``np.random.PCG64(_StateWords(words[i])).random_raw(m)``, all rows at once.
+
+    The 128-bit states come from one float64 product of the words' 16-bit
+    limbs with ``_pcg64_consts(m)``.  Each sum is of at most 16 terms below
+    2**48 plus an offset below 2**32, so it is an exact integer below
+    2**53 whatever the summation order or BLAS thread count; carrying the
+    32-bit limbs then gives each state mod 2**128.
+    """
+    matrix, offset = _pcg64_consts(m)
+    limbs = np.ascontiguousarray(words, dtype="<u8").view("<u2").astype(np.float64)
+    sums = (limbs @ matrix + offset).astype(np.uint64).reshape(len(words), m, 4)
+    limb, carry = [], np.uint64(0)
+    for k in range(4):
+        column = sums[:, :, k] + carry
+        limb.append(column & np.uint64(_MASK32))
+        carry = column >> np.uint64(32)
+    lo = limb[0] | (limb[1] << np.uint64(32))
+    hi = limb[2] | (limb[3] << np.uint64(32))
+    rot = limb[3] >> np.uint64(26)  # the state's top 6 bits
+    xored = hi ^ lo
+    return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
 def _bounded_draws(words: np.ndarray, bounds, size: int) -> np.ndarray:
     """Row i: ``_generator(words[i]).integers(0, bounds[i], size=size)``, for bounds in [1, 2**32].
 
-    All rows go through ``_lemire_map`` at once; a row with a rejected draw
-    (probability below size * bound / 2**32) is drawn again by numpy from
-    the same state words.
+    All rows go through ``_pcg64_raw`` and ``_lemire_map`` at once; a row
+    with a rejected draw (probability below size * bound / 2**32) is drawn
+    again by numpy from the same state words.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     if bounds.size and not 1 <= bounds.min() <= bounds.max() <= 2**32:
         raise ValueError("bounded draws need bounds in [1, 2**32]")
-    raw = np.empty((len(words), (size + 1) // 2), dtype=np.uint64)
-    for row, key in zip(raw, words):
-        row[:] = np.random.PCG64(_StateWords(key)).random_raw(raw.shape[1])
-    draws, rejected = _lemire_map(raw, bounds, size)
+    draws, rejected = _lemire_map(_pcg64_raw(words, (size + 1) // 2), bounds, size)
     for row in np.flatnonzero(rejected):
         draws[row] = _generator(words[row]).integers(0, int(bounds[row]), size=size)
     return draws
@@ -380,7 +463,7 @@ class QuadraticProblem(Problem):
             G *= self.L
             if keys is not None:
                 noise = np.empty_like(G)
-                for row, words in zip(noise, keys.state_words(rnd)):
+                for row, words in zip(noise, keys.state_words([rnd])[0]):
                     _generator(words).standard_normal(out=row)
                 G += self.sigma * noise
             return losses, G
@@ -469,18 +552,28 @@ class _ClassificationProblem(Problem):
         for agent, local in enumerate(self.assignments):
             if counts[agent] == sizes[agent]:
                 batches.table[agent, : sizes[agent]] = local
-        # a sampled agent's draws index its slice of the concatenated sets
+        # a sampled agent's draws index its slice of the concatenated sets;
+        # the batches of a block of rounds are drawn in one pass and kept
+        # until a round outside the block is asked for
         flat = np.concatenate(self.assignments)
         starts = (np.cumsum(sizes) - sizes)[sampled, None]
-        bounds = sizes[sampled]
+        bounds = np.tile(sizes[sampled], _BLOCK_ROUNDS)
         keys = _KeyPool(seed, sampled)
+        block_start, block = None, None
 
         def oracle(X, rnd):
+            nonlocal block_start, block
             self._check_params(X)
-            words = keys.state_words(rnd)
             if len(sampled):
-                draws = _bounded_draws(words, bounds, batch_size)
-                batches.table[sampled] = flat[starts + draws]
+                first = rnd - rnd % _BLOCK_ROUNDS
+                if first != block_start:
+                    if rnd < 0:
+                        raise ValueError(f"substream keys must be non-negative, got {rnd}")
+                    words = keys.state_words(range(first, first + _BLOCK_ROUNDS))
+                    draws = _bounded_draws(words.reshape(-1, 4), bounds, batch_size)
+                    draws = draws.reshape(_BLOCK_ROUNDS, len(sampled), batch_size)
+                    block_start, block = first, flat[starts + draws]
+                batches.table[sampled] = block[rnd - first]
             return self._stacked_loss_grad(batches, X)
 
         return oracle

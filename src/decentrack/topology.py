@@ -193,6 +193,8 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
 def as_mixing(weights: np.ndarray) -> MixingMatrix:
     """Wrap a raw weight matrix, deriving edges from nonzero off-diagonals."""
     w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
     i, j = np.nonzero(np.triu((w != 0) | (w.T != 0), 1))
     return MixingMatrix(n=w.shape[0], weights=w, edges=list(zip(i.tolist(), j.tolist())))
 
@@ -235,13 +237,19 @@ def _connected(w: np.ndarray) -> bool:
 def validate_mixing(mixing: MixingMatrix | np.ndarray) -> ValidationReport:
     """Check the doubly stochastic mixing-matrix invariants.
 
-    Returns a report listing every violation (row sums, column sums,
-    symmetry, nonnegativity, connectivity) instead of raising.
+    Returns a report listing every violation (finiteness, row sums, column
+    sums, symmetry, nonnegativity, connectivity) instead of raising.
     """
     w = mixing.weights if isinstance(mixing, MixingMatrix) else np.asarray(mixing, float)
     violations: list[str] = []
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         return ValidationReport([f"matrix is not square: shape {w.shape}"])
+    if w.size == 0:
+        return ValidationReport(["matrix has no agents: shape (0, 0)"])
+    finite = np.isfinite(w)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        violations.append(f"non-finite weight at ({i}, {j}): {w[i, j]}")
     row = np.abs(w.sum(axis=1) - 1.0)
     if row.max() > STOCHASTIC_TOL:
         bad = int(np.argmax(row))
@@ -252,7 +260,7 @@ def validate_mixing(mixing: MixingMatrix | np.ndarray) -> ValidationReport:
         violations.append(
             f"column sums deviate from 1 (column {bad}: {w[:, bad].sum():.6g})"
         )
-    if not np.array_equal(w, w.T):
+    if not np.array_equal(w, w.T, equal_nan=True):
         violations.append("matrix is not symmetric")
     if w.min() < 0:
         i, j = np.unravel_index(np.argmin(w), w.shape)

@@ -354,3 +354,120 @@ class TestClassMajorSoftmaxOracle:
             ref_losses, ref_G = reference_oracle(problem, batch, 4)(X, rnd)
             assert_rel_close(G, ref_G, 1e-12)
             assert_rel_close(losses, ref_losses, 1e-12)
+
+
+def seed_words_for(bit_gen: np.random.PCG64) -> np.ndarray:
+    """State words from which numpy seeds ``bit_gen``'s current state.
+
+    numpy seeds words (s_hi, s_lo, i_hi, i_lo) as inc = 2i + 1 and
+    state = (s + inc) * MULT + inc, both mod 2**128; this solves for s and i.
+    """
+    state = bit_gen.state["state"]
+    inc = state["inc"]
+    s = ((state["state"] - inc) * pow(PCG_MULT, -1, 2**128) - inc) % 2**128
+    i = inc >> 1
+    return np.array([s >> 64, s & MASK64, i >> 64, i & MASK64], dtype=np.uint64)
+
+
+class TestPcg64Raw:
+    """The closed-form PCG64 against numpy's ``random_raw``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 17])
+    def test_matches_random_raw(self, m):
+        keys = np.random.default_rng(m).integers(0, 2**64, size=(2000, 4), dtype=np.uint64)
+        edges = np.array([[0] * 4, [MASK64] * 4], dtype=np.uint64)
+        words = np.concatenate((edges, keys))
+        got = models._pcg64_raw(words, m)
+        assert got.shape == (len(words), m) and got.dtype == np.uint64
+        for row, key in zip(got, words):
+            assert np.array_equal(row, np.random.PCG64(models._StateWords(key)).random_raw(m))
+
+    @pytest.mark.parametrize("m", [1, 16, 17])
+    @pytest.mark.parametrize("bound", [37, 2**32 - 1, 3 * 2**30 + 1, 999_999_937])
+    def test_matches_threshold_streams(self, bound, m):
+        # the streams of TestBoundedDraws.test_threshold_is_exact, reached
+        # from seed words instead of a set state
+        threshold = 2**32 % bound
+        for leftover in (threshold, threshold - 1):
+            first = (0x7F4A7C15 << 32) | (leftover * pow(bound, -1, 2**32) % 2**32)
+            words = seed_words_for(pcg64_emitting(first))
+            assert np.random.PCG64(models._StateWords(words)).state == pcg64_emitting(first).state
+            got = models._pcg64_raw(words[None], m)[0]
+            assert got[0] == first
+            assert np.array_equal(got, pcg64_emitting(first).random_raw(m))
+
+    def test_block_state_words_match_seed_sequence(self):
+        agents = np.array([0, 5, 2**32 - 1])
+        keys = models._KeyPool(2**40 + 3, agents)
+        for rounds in (range(16), range(2**32 - 16, 2**32), [2**64, 2**64 + 9]):
+            words = keys.state_words(rounds)
+            assert words.shape == (len(rounds), len(agents), 4)
+            for rnd, block_row in zip(rounds, words):
+                expected = [
+                    np.random.SeedSequence(2**40 + 3, spawn_key=(int(a), rnd)).generate_state(
+                        4, np.uint64
+                    )
+                    for a in agents
+                ]
+                assert np.array_equal(block_row, np.stack(expected))
+
+    def test_block_of_mixed_word_counts_rejected(self):
+        keys = models._KeyPool(7, np.arange(3))
+        with pytest.raises(ValueError, match="word"):
+            keys.state_words([2**32 - 1, 2**32])
+
+
+class TestRoundBlocks:
+    """Minibatch indices drawn a block of rounds at a time."""
+
+    ROUNDS = [0, 1, 15, 16, 17, 5, 0, 31, 32, 20, 47, 46, 3,
+              2**32 - 3, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 2, 2**32 - 1, 2**32 - 3, 16]
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_tables_equal_draw_batch(self, kind, monkeypatch):
+        spec = SyntheticProblemSpec(kind=kind, d=3, n_agents=6, n_samples=300, hidden=2, seed=4)
+        sizes = [2, 9, 40, 64, 85, 100]  # batch 16: two agents use their full sets
+        perm = np.random.default_rng(1).permutation(spec.n_samples)
+        problem = make_problem(spec, assignments=np.split(perm, np.cumsum(sizes)[:-1]))
+        tables, draws = [], []
+        stacked, bounded = problem._stacked_loss_grad, models._bounded_draws
+        problem._stacked_loss_grad = lambda b, X: tables.append(b.table.copy()) or stacked(b, X)
+        monkeypatch.setattr(
+            models, "_bounded_draws", lambda *args: draws.append(1) or bounded(*args)
+        )
+        oracle = make_oracle(problem, 16, seed=2**64 + 11)
+        X = np.zeros((spec.n_agents, problem.dim))
+        for rnd in self.ROUNDS:
+            oracle(X, rnd)
+        for rnd, table in zip(self.ROUNDS, tables):
+            for agent, size in enumerate(sizes):
+                picked = problem.draw_batch(agent, rnd, 16, seed=2**64 + 11).indices
+                assert np.array_equal(table[agent, : min(size, 16)], picked)
+        # a pass only where a round leaves the block drawn last: 12 of 22 calls
+        assert len(draws) == 12
+
+    def test_negative_round_named_in_error(self):
+        problem = make_problem(SyntheticProblemSpec(kind="softmax", d=3, n_agents=4))
+        oracle = make_oracle(problem, 8)
+        with pytest.raises(ValueError, match="got -3$"):
+            oracle(np.zeros((4, problem.dim)), -3)
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_no_bit_generator_on_the_minibatch_path(self, kind, monkeypatch):
+        words = models._spawned_state_words(11, np.arange(200), 3)
+        bounds = np.full(200, 3 * 2**30, dtype=np.uint64)
+        raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(1) for w in words])
+        _, rejected = models._lemire_map(raw, bounds, 1)
+        built = []
+        pcg64 = np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(1) or pcg64(seed))
+        spec = SyntheticProblemSpec(kind=kind, d=20, n_agents=32, n_samples=8000, hidden=4)
+        problem = make_problem(spec)
+        oracle = make_oracle(problem, 32, seed=5)
+        X = np.zeros((32, problem.dim))
+        for rnd in range(20):
+            oracle(X, rnd)
+        assert built == []
+        # the count sees the rejection fallback's bit generators
+        models._bounded_draws(words, bounds, 1)
+        assert len(built) == rejected.sum() > 30

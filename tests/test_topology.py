@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,29 @@ class TestValidateMixing:
             build_topology("torus", 32, grid=(4, 8)),
         ):
             assert validate_mixing(W).ok
+
+    def test_empty_matrix_reported(self):
+        report = validate_mixing(np.zeros((0, 0)))
+        assert report.violations == ["matrix has no agents: shape (0, 0)"]
+
+    def test_all_nan_reported_as_non_finite(self):
+        # nan > tol is False, so the sum checks alone would pass this matrix
+        report = validate_mixing(np.full((3, 3), np.nan))
+        assert report.violations[0] == "non-finite weight at (0, 0): nan"
+        assert not any("not symmetric" in v for v in report.violations)
+
+    def test_single_inf_weight_reported(self):
+        w = np.full((3, 3), 1 / 3)
+        w[1, 2] = np.inf
+        report = validate_mixing(w)
+        assert report.violations[0] == "non-finite weight at (1, 2): inf"
+
+
+class TestAsMixing:
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_rejected_with_shape(self, shape):
+        with pytest.raises(ValueError, match=f"square, got shape {re.escape(str(shape))}"):
+            as_mixing(np.full(shape, 0.5))
 
 
 class TestInvariants:
