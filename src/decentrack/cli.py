@@ -43,6 +43,8 @@ def _parse_seeds(s: str) -> tuple[int, ...]:
     seeds = tuple(int(p) for p in str(s).split(",") if p.strip() != "")
     if not seeds:
         raise ValueError("run.seeds must list at least one integer")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"each seed may be listed once, got {s!r}")
     return seeds
 
 
@@ -218,19 +220,21 @@ def _algorithm_spec(config: dict) -> algorithms.AlgorithmSpec:
     )
 
 
-def emit_plot(traces, path, title: str = "consensus error") -> None:
+def emit_plot(traces, path) -> None:
     """Self-contained SVG log-scale chart of consensus error vs round.
 
     ``traces`` is a list of (label, MetricTrace); values below the chart
-    floor of 1e-16 are clamped so the log axis stays defined.
+    floor of 1e-16 are clamped so the log axis stays defined, and
+    non-finite values (the last rows of a diverging run) are left out.
     """
-    if not traces or any(not tr.rows for _, tr in traces):
-        raise ValueError("emit_plot needs at least one nonempty trace")
+    series = [
+        (label, [(r.round, max(r.consensus_error, PLOT_FLOOR))
+                 for r in tr.rows if np.isfinite(r.consensus_error)])
+        for label, tr in traces
+    ]
+    if not series or any(not pts for _, pts in series):
+        raise ValueError("emit_plot needs at least one trace, each with a finite value")
     width, height, margin = 640, 400, 50
-    series = []
-    for label, tr in traces:
-        pts = [(r.round, max(r.consensus_error, PLOT_FLOOR)) for r in tr.rows]
-        series.append((label, pts))
     xmax = max(max(x for x, _ in pts) for _, pts in series)
     xmax = max(xmax, 1)
     logs = [np.log10(y) for _, pts in series for _, y in pts]
@@ -250,7 +254,7 @@ def emit_plot(traces, path, title: str = "consensus error") -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">consensus error</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '

@@ -50,10 +50,9 @@ class TraceRow:
 
 @dataclass
 class MetricTrace:
-    """Per-round metric records plus run metadata."""
+    """Per-round metric records of one run."""
 
     rows: list[TraceRow]
-    meta: dict
     divergent: bool = False
 
     def to_csv(self) -> str:
@@ -122,10 +121,9 @@ def run_consensus(
     if method in ("gossip", "qg-gossip"):
         mu = 0.0
     X = check_start(X0, W)
-    n, d = X.shape
+    d = X.shape[1]
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
     rows = [TraceRow(round=0, consensus_error=consensus_error(X), comm_scalars=0)]
-    meta = {"task": "consensus", "method": method, "mu": mu, "beta": beta, "n": n, "d": d, "rounds": T}
     if on_round is not None:
         on_round(0, X)
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
@@ -168,7 +166,7 @@ def run_consensus(
             )
             if on_round is not None:
                 on_round(t, X)
-    return MetricTrace(rows=rows, meta=meta, divergent=divergent)
+    return MetricTrace(rows=rows, divergent=divergent)
 
 
 def decayed_schedule(eta: float, T: int):
@@ -247,20 +245,7 @@ def run_training(
                     row.avg_model_loss = loss
                     row.avg_model_accuracy = acc
                 rows.append(row)
-        meta = {
-            "task": "train",
-            "algorithm": spec.kind,
-            "eta": spec.eta,
-            "mu": spec.mu,
-            "beta": spec.beta,
-            "n": W.n,
-            "d": d,
-            "rounds": T,
-            "batch": batch_size,
-            "seed": seed,
-            "problem": problem.kind,
-        }
-        traces.append(MetricTrace(rows=rows, meta=meta, divergent=divergent))
+        traces.append(MetricTrace(rows=rows, divergent=divergent))
     # T >= 1, so a run that did not diverge evaluated its final row
     finals = [tr.final_row() for tr in traces if not tr.divergent]
     finals_loss = [r.avg_model_loss for r in finals]

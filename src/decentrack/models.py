@@ -16,8 +16,10 @@ reference.
 
 The oracle draws what the reference draws, bit for bit, without its
 per-agent cost.  The SeedSequence hashing of the (seed, agent) part of each
-key runs once per oracle, vectorised over agents (``_KeyPool``); the words
-of a block of rounds are then mixed in over (round, agent) lanes.
+key runs once per oracle (``_KeyPool``): numpy's own ``SeedSequence(seed)``
+gives the pool of the seed's words, and the agent word is mixed in over all
+agents at once; the words of a block of rounds are then mixed in over
+(round, agent) lanes.
 Minibatch indices are drawn for ``_BLOCK_ROUNDS`` rounds at a time and kept
 until a round outside the block is asked for; a replay redraws them.  No
 bit generator is built for them: numpy's PCG64 is computed in closed form
@@ -48,7 +50,6 @@ __all__ = [
     "make_quadratic",
     "finite_diff_check",
     "make_oracle",
-    "substreams",
 ]
 
 
@@ -117,7 +118,7 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    """SeedSequence's mix of two arrays of uint32 words."""
     result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
     return result ^ (result >> 16)
 
@@ -143,41 +144,26 @@ class _KeyPool:
     entropy, so the pool after the (seed, agent) words is the same in every
     round: it is built once, as a (4, n_agents) uint32 array plus the hash
     constants that the round's words meet, and ``state_words`` mixes in
-    the words of a block of rounds.  Words shared by all agents stay Python
-    ints, masked to 32 bits, so only what depends on the agent runs on
-    arrays (whose uint32 arithmetic wraps like the C code).
+    the words of a block of rounds.  uint32 arrays wrap like the C code.
     """
 
     def __init__(self, seed: int, agents: np.ndarray):
         if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
             raise ValueError("substream agents must lie in [0, 2**32)")
-        # a spawn key makes SeedSequence pad the run entropy to the pool
-        # size, so the entropy always outgrows the pool and the agent word
-        # sits past it
-        run = _uint32_words(seed)
-        run += [0] * (_POOL_SIZE - len(run))
-        hash_const = _INIT_A
-
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = (hash_const * _MULT_A) & _MASK32
-            value = (value * hash_const) & _MASK32
-            return value ^ (value >> 16)
-
-        pool = [hashmix(word) for word in run[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in run[_POOL_SIZE:] + [agents.astype(np.uint32)]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        self._pool = np.stack(pool)[:, None, :]
-        self._hash_const = hash_const
+        # a spawn key pads the seed's words with zeros to the pool size,
+        # which is what SeedSequence(seed) hashes in place of missing words,
+        # so its pool is the pool before the agent word.  Each seed word, at
+        # least 4 of them, met 4 hash constants; the agent word meets the
+        # next 4 and the round's words the ones after
+        used = _POOL_SIZE * max(len(_uint32_words(seed)), _POOL_SIZE)
+        consts = _hash_consts(_INIT_A, _MULT_A, used + _POOL_SIZE)[used:, None]
+        hashed = (agents.astype(np.uint32) ^ consts[:-1]) * consts[1:]
+        pool = np.random.SeedSequence(seed).pool[:, None]
+        self._pool = _mix(pool, hashed ^ (hashed >> 16))[:, None, :]
+        self._hash_const = int(consts[-1, 0])
         # round word w meets constants [4w, 4w + 4] of this chain; two
         # words cover every round below 2**64
-        self._chain = _hash_consts(hash_const, _MULT_A, 2 * _POOL_SIZE)
+        self._chain = _hash_consts(self._hash_const, _MULT_A, 2 * _POOL_SIZE)
 
     def state_words(self, rounds) -> np.ndarray:
         """[r, i]: the 4 uint64 state words of agent i's (seed, agent, rounds[r]) key.
@@ -211,11 +197,6 @@ class _KeyPool:
         )
 
 
-def _spawned_state_words(seed: int, agents: np.ndarray, rnd: int) -> np.ndarray:
-    """Row i: ``SeedSequence(entropy=seed, spawn_key=(agents[i], rnd)).generate_state(4, np.uint64)``."""
-    return _KeyPool(seed, agents).state_words([rnd])[0]
-
-
 class _StateWords(np.random.bit_generator.ISeedSequence):
     """A seed sequence that hands a bit generator precomputed state words."""
 
@@ -234,19 +215,6 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 def _generator(words: np.ndarray) -> np.random.Generator:
     """A Generator whose PCG64 numpy seeds from precomputed state words."""
     return np.random.Generator(np.random.PCG64(_StateWords(words)))
-
-
-def substreams(seed: int, agents, rnd: int):
-    """Yield ``(agent, rng)`` for each agent, ``rng`` seeded by its (seed, agent, rnd) key.
-
-    ``rng`` draws exactly what
-    ``np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(agent, rnd)))``
-    draws, but the seed hashing of all agents runs in one vectorised pass;
-    PCG64 is then seeded from the hashed words by numpy itself.
-    """
-    agents = np.asarray(agents, dtype=np.int64).reshape(-1)
-    for agent, words in zip(agents.tolist(), _spawned_state_words(seed, agents, rnd)):
-        yield agent, _generator(words)
 
 
 def _lemire_map(raw: np.ndarray, bounds: np.ndarray, size: int):
@@ -426,7 +394,11 @@ class QuadraticProblem(Problem):
             u /= np.sqrt(np.mean(np.sum(u * u, axis=1)))
         else:
             u = np.zeros((spec.n_agents, spec.d))
-        self.b = b_bar + spec.zeta * u
+        with np.errstate(over="ignore"):
+            self.b = b_bar + spec.zeta * u
+        # zeta * zeta comes first, so an overflowing zeta**2 is caught here
+        if not (math.isfinite(spec.zeta * spec.zeta * spec.L) and np.isfinite(self.b).all()):
+            raise ValueError(f"zeta={spec.zeta!r} overflows the optima b_i or f* = L zeta^2 / 2")
         self.x_star = b_bar
         self.f_star = 0.5 * spec.L * spec.zeta**2
 
@@ -479,7 +451,10 @@ class QuadraticProblem(Problem):
 
 
 def _make_clusters(spec: SyntheticProblemSpec, rng: np.random.Generator, n: int):
-    means = spec.separation * rng.normal(size=(spec.n_classes, spec.d))
+    with np.errstate(over="ignore"):
+        means = spec.separation * rng.normal(size=(spec.n_classes, spec.d))
+    if not np.isfinite(means).all():
+        raise ValueError(f"separation={spec.separation!r} overflows the class means")
     labels = np.arange(n) % spec.n_classes
     rng.shuffle(labels)
     feats = means[labels] + rng.normal(size=(n, spec.d))

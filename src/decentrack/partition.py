@@ -23,8 +23,6 @@ class Partition:
     """Disjoint per-agent assignment of sample indices."""
 
     assignments: list[np.ndarray]
-    alpha: float
-    seed: int
 
     @property
     def n_agents(self) -> int:
@@ -83,7 +81,7 @@ def dirichlet_partition(
             for b in buckets
         ]
         if min(len(a) for a in assignments) >= min_per_agent:
-            return Partition(assignments=assignments, alpha=alpha, seed=seed)
+            return Partition(assignments=assignments)
     raise RuntimeError(
         f"could not satisfy min_per_agent={min_per_agent} after {_MAX_REDRAWS} "
         f"redraws (alpha={alpha}, n_agents={n_agents})"

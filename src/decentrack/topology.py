@@ -1,7 +1,8 @@
 """Communication graphs as doubly stochastic mixing matrices.
 
 Builds the ring, Dyck and torus gossip topologies with uniform weights
-(1 / peers-including-self) and computes their spectral statistics.  The
+(1 / peers-including-self) and computes their spectral statistics, from
+the current weights on every call, so reassigned weights are seen.  The
 spectral gap ``rho = 1 - max(|lambda2|, |lambdaN|)`` controls how fast
 gossip averaging contracts toward consensus.
 """
@@ -72,7 +73,6 @@ class MixingMatrix:
     n: int
     weights: np.ndarray
     edges: list[tuple[int, int]]
-    spectral: SpectralStats | None = field(default=None, compare=False)
     peers: np.ndarray = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
     gather: bool = field(init=False, repr=False, compare=False)
@@ -168,6 +168,8 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
             raise ValueError(f"dyck topology is a fixed graph on 32 agents, got n={n}")
         pairs, peers = np.concatenate([_ring_edges(32), _DYCK_CHORDS]), 4
     elif kind == "torus":
+        if n < 9:
+            raise ValueError(f"torus topology requires n >= 9, got n={n}")
         rows, cols = grid if grid is not None else _square_grid(n)
         if rows * cols != n:
             raise ValueError(f"torus grid {rows}x{cols} does not factor n={n}")
@@ -202,11 +204,9 @@ def as_mixing(weights: np.ndarray) -> MixingMatrix:
 def spectral_stats(mixing: MixingMatrix) -> SpectralStats:
     """Eigen-statistics of W: lambda2, lambdaN and rho = 1 - max(|l2|, |lN|).
 
-    Uses a full symmetric eigendecomposition; matrices here are small.
-    The result is cached on the mixing matrix.
+    Uses a full symmetric eigendecomposition of the current ``weights``;
+    matrices here are small.
     """
-    if mixing.spectral is not None:
-        return mixing.spectral
     try:
         eigs = np.linalg.eigvalsh(mixing.weights)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -215,9 +215,7 @@ def spectral_stats(mixing: MixingMatrix) -> SpectralStats:
     lambda2 = float(eigs[1])
     lambda_n = float(eigs[-1])
     rho = 1.0 - max(abs(lambda2), abs(lambda_n))
-    stats = SpectralStats(lambda2=lambda2, lambda_n=lambda_n, rho=rho)
-    mixing.spectral = stats
-    return stats
+    return SpectralStats(lambda2=lambda2, lambda_n=lambda_n, rho=rho)
 
 
 def _connected(w: np.ndarray) -> bool:

@@ -1,9 +1,14 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from decentrack.cli import KEYS, emit_plot, main, parse_config
+from decentrack.cli import _COMMANDS, KEYS, emit_plot, main, parse_config
 from decentrack.harness import MetricTrace, TraceRow
 
 
@@ -219,6 +224,87 @@ class TestNonFiniteAndDegenerateValues:
         assert not (out / "manifest.json").exists()
 
 
+class TestOutOfRangeValues:
+    """Values that overflowed or were silently repeated are config errors (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ("--problem.kind=quadratic", "--problem.zeta=1e308"),
+                "zeta=1e+308 overflows the optima b_i or f* = L zeta^2 / 2",
+            ),
+            (("--problem.separation=1e308",), "separation=1e+308 overflows the class means"),
+            (("--run.seeds=1,1",), "each seed may be listed once, got '1,1'"),
+        ],
+    )
+    def test_train_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run_cli("train", "--run.rounds=2", *args, f"--run.output_dir={out}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+# Adversarial raw values for every key, and per-key values that keep a case
+# small: n <= 64, rounds <= 20, samples <= 2000, every other size <= 64.
+ADVERSARIAL = ["0", "-1", "nan", "inf", "-inf", "1e308", "", "abc", "1.5", "true"]
+SIZE_CAPS = {
+    "topology.n": 64, "run.rounds": 20, "problem.samples": 2000, "run.batch": 2000,
+    "problem.d": 64, "problem.classes": 64, "problem.hidden": 64, "consensus.d": 64,
+    "run.eval_every": 64, "partition.min_per_agent": 64,
+}
+CHOICES = {
+    "topology.kind": ["ring", "dyck", "torus"],
+    "problem.kind": ["quadratic", "softmax", "mlp"],
+    "algorithm.kind": ["GUT", "QG-GUTm", "DSGD", "GT", "GUT-bias", "RuleA"],
+    "consensus.method": ["gossip", "gut", "qg-gossip", "qg-gutm"],
+    "topology.grid": ["3x3", "4x16", "8x8", "0x5", "x", "3x"],
+    "run.seeds": ["1", "2,3", "1,2,3", "0,-1", "1,1", ","],
+    "run.decay": ["false"],
+    "run.plot": ["false"],
+}
+
+
+def fuzz_values(key):
+    if key in SIZE_CAPS:
+        valid = st.integers(1, SIZE_CAPS[key]).map(str)
+    elif key in CHOICES:
+        valid = st.sampled_from(CHOICES[key])
+    else:  # floats and seeds
+        valid = st.one_of(st.floats().map(repr), st.integers(-2, 2**70).map(str))
+    return st.one_of(st.sampled_from(ADVERSARIAL), valid)
+
+
+# the output directory is a fresh temporary directory in every case
+FUZZ_KEYS = sorted(set(KEYS) - {"run.output_dir"})
+OVERRIDES = st.lists(st.sampled_from(FUZZ_KEYS), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: fuzz_values(key) for key in keys})
+)
+# a small valid base that the overrides change
+BASE = [
+    "--topology.n=8", "--run.rounds=5", "--problem.samples=400", "--problem.d=4",
+    "--consensus.d=4", "--run.seeds=1", "--partition.alpha=1",
+]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), overrides=OVERRIDES)
+    @example(command="train", overrides={"problem.kind": "quadratic", "problem.zeta": "1e308"})
+    @example(command="train", overrides={"problem.separation": "1e308"})
+    @example(command="train", overrides={"run.seeds": "1,1"})
+    def test_every_config_ends_in_a_documented_exit_code(self, command, overrides):
+        flags = [f"--{key}={value}" for key, value in overrides.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *BASE, *flags, f"--run.output_dir={tmp}/out"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+
+
 class TestEquivalenceSubcommand:
     def test_default_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -257,7 +343,7 @@ class TestValidateSubcommand:
 class TestEmitPlot:
     def trace(self, errors):
         rows = [TraceRow(round=t, consensus_error=e) for t, e in enumerate(errors)]
-        return MetricTrace(rows=rows, meta={})
+        return MetricTrace(rows=rows)
 
     def test_single_point_chart(self, tmp_path):
         path = tmp_path / "one.svg"
@@ -278,6 +364,16 @@ class TestEmitPlot:
         svg = path.read_text()
         assert "gossip" in svg and "tracked" in svg
         assert svg.count("<polyline") == 2
+
+    def test_non_finite_values_left_out(self, tmp_path):
+        # the last rows of a diverging consensus run overflow consensus_error
+        path = tmp_path / "div.svg"
+        emit_plot([("gut", self.trace([1.0, 0.5, 1e300, np.inf, np.nan]))], path)
+        svg = path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<polyline") == 1
+        (points,) = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
+        assert points.split('"')[1].count(",") == 3
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

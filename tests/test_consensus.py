@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decentrack.algorithms import AlgorithmSpec
+from decentrack.algorithms import AlgorithmSpec, init_states, run_round
 from decentrack.harness import CONSENSUS_METHODS, run_consensus, run_training
 from decentrack.models import SyntheticProblemSpec, make_quadratic
 from decentrack.topology import GATHER_MIN_N, build_topology
@@ -108,6 +108,51 @@ class TestOneProductPerRound:
             assert len({id(X) for X in seen}) == len(seen) == 13
             for X, C in zip(seen, copies):
                 assert np.array_equal(X, C)
+
+
+def zero_oracle(X, rnd):
+    return np.zeros(len(X)), np.zeros_like(X)
+
+
+class TestZeroGradientTraining:
+    """``gossip`` and ``gut`` are the rule table's DSGD and GUT-bias with a zero gradient."""
+
+    TOPOLOGIES = {
+        "ring16": lambda: build_topology("ring", 16),
+        "ring256": lambda: build_topology("ring", 256),
+        "torus3x5": lambda: build_topology("torus", 15, grid=(3, 5)),
+        "dyck32": lambda: build_topology("dyck", 32),
+    }
+
+    def rounds(self, W, X0, kind, mu, T=40):
+        state, out = init_states(X0, W), []
+        for _ in range(T):
+            state = run_round(state, W, AlgorithmSpec(kind=kind, eta=1.0, mu=mu), zero_oracle)
+            out.append(state.X)
+        return out
+
+    def consensus(self, W, X0, method, mu, T=40):
+        out = []
+        run_consensus(W, X0, method, mu=mu, T=T, on_round=lambda t, X: out.append(X))
+        assert len(out) == T + 1
+        return out[1:]
+
+    @pytest.mark.parametrize("graph", sorted(TOPOLOGIES))
+    def test_gossip_is_dsgd_bit_for_bit(self, graph):
+        W = self.TOPOLOGIES[graph]()
+        X0 = np.random.default_rng(3).standard_normal((W.n, 8))
+        for a, b in zip(self.consensus(W, X0, "gossip", 0.0), self.rounds(W, X0, "DSGD", 0.0)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("graph", sorted(TOPOLOGIES))
+    def test_gut_is_gut_bias_at_unit_step(self, graph):
+        W = self.TOPOLOGIES[graph]()
+        X0 = np.random.default_rng(3).standard_normal((W.n, 8))
+        for a, b in zip(self.consensus(W, X0, "gut", 0.0), self.rounds(W, X0, "GUT-bias", 0.0)):
+            assert np.array_equal(a, b)
+        tol = 1e-12 * np.max(np.abs(X0))
+        for a, b in zip(self.consensus(W, X0, "gut", 0.15), self.rounds(W, X0, "GUT-bias", 0.15)):
+            assert np.max(np.abs(a - b)) <= tol
 
 
 class TestGather:

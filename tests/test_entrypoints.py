@@ -110,6 +110,32 @@ class TestDivergence:
         assert doc["passed"] is False
 
 
+class TestRedRun:
+    def test_failing_property_test_is_reported_and_the_session_goes_on(self, tmp_path):
+        # an inner session under this repo's pytest configuration, warning
+        # filters included: a falsified @given test is one failure, not an
+        # INTERNALERROR that stops the tests after it
+        (tmp_path / "test_red.py").write_text(
+            "from hypothesis import given, strategies as st\n\n\n"
+            "@given(st.integers())\n"
+            "def test_falsified(x):\n"
+            "    assert x < 10\n\n\n"
+            "def test_after():\n"
+            "    pass\n"
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-c", str(SRC.parent / "pyproject.toml"),
+                "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_red.py",
+            ],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        output = result.stdout + result.stderr
+        assert "INTERNALERROR" not in output
+        assert "1 failed, 1 passed" in output
+        assert result.returncode == 1
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_subcommand(self, tmp_path):
         out = tmp_path / "out"

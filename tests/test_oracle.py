@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decentrack import harness, models
 from decentrack.algorithms import AlgorithmSpec, init_states, run_round
-from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem, substreams
+from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
 from decentrack.topology import build_topology
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 11, 2**100 + 5]
@@ -39,27 +39,35 @@ def assert_rel_close(a, b, rtol):
     assert float(np.max(np.abs(a - b))) <= rtol * scale
 
 
+def spawned_words(seed, agents, rnd):
+    """Row i: the state words of agents[i]'s (seed, agent, rnd) key, from ``_KeyPool``."""
+    return models._KeyPool(seed, np.asarray(agents)).state_words([rnd])[0]
+
+
 class TestSubstreams:
+    """``_KeyPool`` words seed the streams SeedSequence keys would seed."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("rnd", ROUNDS)
     def test_standard_normal_matches_seed_sequence(self, seed, rnd):
-        for agent, rng in substreams(seed, AGENTS, rnd):
+        for agent, words in zip(AGENTS, spawned_words(seed, AGENTS, rnd)):
             assert np.array_equal(
-                rng.standard_normal(9), reference_rng(seed, agent, rnd).standard_normal(9)
+                models._generator(words).standard_normal(9),
+                reference_rng(seed, agent, rnd).standard_normal(9),
             )
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("rnd", ROUNDS)
     def test_integers_match_seed_sequence(self, seed, rnd):
-        for agent, rng in substreams(seed, AGENTS, rnd):
+        for agent, words in zip(AGENTS, spawned_words(seed, AGENTS, rnd)):
             assert np.array_equal(
-                rng.integers(0, 37, size=11),
+                models._generator(words).integers(0, 37, size=11),
                 reference_rng(seed, agent, rnd).integers(0, 37, size=11),
             )
 
     def test_state_words_match_seed_sequence(self):
         agents = np.arange(300)
-        words = models._spawned_state_words(2**64 + 11, agents, 5)
+        words = spawned_words(2**64 + 11, agents, 5)
         expected = np.stack(
             [
                 np.random.SeedSequence(2**64 + 11, spawn_key=(int(a), 5)).generate_state(
@@ -70,17 +78,20 @@ class TestSubstreams:
         )
         assert np.array_equal(words, expected)
 
-    def test_yields_agents_in_order(self):
-        assert [a for a, _ in substreams(3, [5, 0, 2], 1)] == [5, 0, 2]
-        assert list(substreams(3, [], 1)) == []
+    def test_rows_follow_agent_order(self):
+        words = spawned_words(3, [5, 0, 2], 1)
+        for agent, row in zip([5, 0, 2], words):
+            expected = np.random.SeedSequence(3, spawn_key=(agent, 1)).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected)
+        assert spawned_words(3, np.arange(0), 1).shape == (0, 4)
 
     def test_out_of_range_keys_rejected(self):
         with pytest.raises(ValueError):
-            list(substreams(-1, [0], 0))
+            spawned_words(-1, [0], 0)
         with pytest.raises(ValueError):
-            list(substreams(0, [0], -1))
+            spawned_words(0, [0], -1)
         with pytest.raises(ValueError):
-            list(substreams(0, [2**32], 0))
+            spawned_words(0, [2**32], 0)
 
 
 # numpy's PCG64 (XSL-RR output of the 128-bit LCG state after each step)
@@ -111,7 +122,7 @@ class TestBoundedDraws:
         agents = np.array(AGENTS)
         for seed in SEEDS:
             for rnd in ROUNDS:
-                words = models._spawned_state_words(seed, agents, rnd)
+                words = spawned_words(seed, agents, rnd)
                 got = models._bounded_draws(words, np.full(len(agents), bound), size)
                 for agent, row in zip(AGENTS, got):
                     ref = reference_rng(seed, agent, rnd).integers(0, bound, size=size)
@@ -120,7 +131,7 @@ class TestBoundedDraws:
     def test_ragged_bounds_in_one_call(self):
         agents = np.arange(64)
         bounds = 1 + np.arange(64) ** 5  # 1 up to about 9.9e8
-        words = models._spawned_state_words(2**40 + 3, agents, 9)
+        words = spawned_words(2**40 + 3, agents, 9)
         got = models._bounded_draws(words, bounds, 33)
         for agent, bound, row in zip(agents, bounds, got):
             ref = reference_rng(2**40 + 3, int(agent), 9).integers(0, int(bound), size=33)
@@ -133,7 +144,7 @@ class TestBoundedDraws:
         make = models._generator
         monkeypatch.setattr(models, "_generator", lambda words: calls.append(1) or make(words))
         agents = np.arange(200)
-        words = models._spawned_state_words(11, agents, 3)
+        words = spawned_words(11, agents, 3)
         raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(16) for w in words])
         _, rejected = models._lemire_map(raw, np.full(200, 3 * 2**30, dtype=np.uint64), size)
         got = models._bounded_draws(words, np.full(200, 3 * 2**30), size)
@@ -159,7 +170,7 @@ class TestBoundedDraws:
             assert np.array_equal(draws[0], numpy_draws) != rejects
 
     def test_bounds_outside_32_bits_rejected(self):
-        words = models._spawned_state_words(0, np.arange(2), 0)
+        words = spawned_words(0, np.arange(2), 0)
         for bounds in ([0, 5], [5, 2**32 + 1]):
             with pytest.raises(ValueError, match="bounds"):
                 models._bounded_draws(words, np.array(bounds), 4)
@@ -265,7 +276,8 @@ class TestBatchedOracle:
             oracle(X, rnd)
         assert built == []
         # the count sees a per-agent Generator, as the rejection fallback builds
-        list(substreams(5, [0, 1], 0))
+        for words in spawned_words(5, [0, 1], 0):
+            models._generator(words)
         assert built == [1, 1]
 
     @pytest.mark.parametrize("kind", ["GUT", "QG-GUTm", "DSGD", "GT"])
@@ -454,7 +466,7 @@ class TestRoundBlocks:
 
     @pytest.mark.parametrize("kind", ["softmax", "mlp"])
     def test_no_bit_generator_on_the_minibatch_path(self, kind, monkeypatch):
-        words = models._spawned_state_words(11, np.arange(200), 3)
+        words = spawned_words(11, np.arange(200), 3)
         bounds = np.full(200, 3 * 2**30, dtype=np.uint64)
         raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(1) for w in words])
         _, rejected = models._lemire_map(raw, bounds, 1)

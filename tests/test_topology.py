@@ -60,6 +60,11 @@ class TestBuildTopology:
         with pytest.raises(ValueError):
             build_topology(kind, n, grid)
 
+    @pytest.mark.parametrize("n", [-1, 0, 8])
+    def test_torus_below_nine_agents_rejected(self, n):
+        with pytest.raises(ValueError, match=f"torus topology requires n >= 9, got n={n}"):
+            build_topology("torus", n)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown topology"):
             build_topology("star", 8)
@@ -97,9 +102,15 @@ class TestSpectralStats:
         ):
             assert spectral_stats(W).rho > 0
 
-    def test_result_cached(self):
-        W = build_topology("ring", 8)
-        assert spectral_stats(W) is spectral_stats(W)
+    def test_follows_reassigned_weights(self):
+        W = build_topology("ring", 16)
+        assert spectral_stats(W).rho == pytest.approx(ring_circulant_rho(16), abs=1e-12)
+        lazy = (np.eye(16) + W.weights) / 2
+        W.weights = lazy
+        stats = spectral_stats(W)
+        assert stats == spectral_stats(as_mixing(lazy))
+        assert stats.rho == pytest.approx(ring_circulant_rho(16) / 2, abs=1e-12)
+        assert stats.rho == pytest.approx(0.0254, abs=1e-4)
 
 
 class TestValidateMixing:
