@@ -228,8 +228,11 @@ def _momentum_parts(st, W, G, eta, mu, scale=1.0):
     """delta, y and the step x - eta*y of the tracked update whose
     correction mixes the momentum buffer, the vector these rules send."""
     disp = st.S - st.X
-    delta = G - disp / eta
-    mc = mu * (W.mix(st.M) - scale * disp / eta - st.D)
+    correction = disp / eta
+    delta = G - correction
+    if scale != 1.0:
+        correction = scale * disp / eta
+    mc = mu * (W.mix(st.M) - correction - st.D)
     return delta, delta + mc, st.S - eta * (G + mc)
 
 

@@ -26,8 +26,8 @@ bit generator is built for them: numpy's PCG64 is computed in closed form
 from the hashed words (``_pcg64_raw``), and one vectorised pass maps the
 raw words to indices with numpy's own algorithm for ``Generator.integers``
 (``_lemire_map``); the rare row whose draws hit a rejection is drawn again
-by numpy itself.  Quadratic noise still needs one ``Generator`` per agent,
-for numpy's ziggurat ``standard_normal``.
+by numpy itself.  Quadratic noise costs only numpy's own calls: one PCG64
+build, one ``Generator`` and one ziggurat ``standard_normal`` per agent.
 """
 
 from __future__ import annotations
@@ -198,15 +198,16 @@ class _KeyPool:
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands a bit generator precomputed state words."""
+    """A seed sequence that hands a bit generator precomputed uint64 state words."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+        # PCG64 asks for np.uint64 itself, which needs no np.dtype built
+        if n_words != len(self.words) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(
-                f"precomputed {len(self.words)} {self.words.dtype} words,"
+                f"precomputed {len(self.words)} uint64 words,"
                 f" asked for {n_words} {np.dtype(dtype)}"
             )
         return self.words
@@ -424,8 +425,8 @@ class QuadraticProblem(Problem):
         return 0.5 * self.L * float(diff @ diff), self.L * diff
 
     def batched_oracle(self, batch_size, seed):
-        # standard_normal needs numpy's ziggurat, so each agent keeps its
-        # own Generator; only the seed hashing is shared
+        # standard_normal needs numpy's ziggurat, so each agent gets its own
+        # PCG64 and Generator; the seed hashing and the seed shim are shared
         keys = _KeyPool(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
 
         def oracle(X, rnd):
@@ -435,8 +436,9 @@ class QuadraticProblem(Problem):
             G *= self.L
             if keys is not None:
                 noise = np.empty_like(G)
-                for row, words in zip(noise, keys.state_words([rnd])[0]):
-                    _generator(words).standard_normal(out=row)
+                shim = _StateWords(None)
+                for row, shim.words in zip(noise, keys.state_words([rnd])[0]):
+                    np.random.Generator(np.random.PCG64(shim)).standard_normal(out=row)
                 G += self.sigma * noise
             return losses, G
 
@@ -494,8 +496,7 @@ class _ClassificationProblem(Problem):
         )
         self.test_labels = np.arange(n_test) % spec.n_classes
         if assignments is None:
-            idx = rng.permutation(spec.n_samples)
-            assignments = [a for a in np.array_split(idx, spec.n_agents)]
+            assignments = np.array_split(rng.permutation(spec.n_samples), spec.n_agents)
         self.assignments = [np.asarray(a) for a in assignments]
         for agent, local in enumerate(self.assignments):
             if len(local) == 0:
@@ -555,14 +556,11 @@ class _ClassificationProblem(Problem):
 
     def _stacked_loss_grad(self, batches, X):
         """Per-agent (losses, grads) on the batches ``table[i, :counts[i]]``."""
-        losses = np.empty(len(X))
-        grads = np.empty_like(X)
-        for agent, (row, m) in enumerate(zip(batches.table, batches.counts)):
-            idx = row[:m]
-            losses[agent], grads[agent] = self._batch_loss_grad(
-                self.features[idx], self.labels[idx], X[agent]
-            )
-        return losses, grads
+        pairs = [
+            self._batch_loss_grad(self.features[row[:m]], self.labels[row[:m]], x)
+            for row, m, x in zip(batches.table, batches.counts, X)
+        ]
+        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
 
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
@@ -620,20 +618,21 @@ class SoftmaxProblem(_ClassificationProblem):
         return loss, grad.ravel()
 
     def _stacked_loss_grad(self, batches, X):
-        # class-major (agents, classes, batch) stacks: the max and the sum
-        # over classes run elementwise across k rows; padding entries of
-        # the table are masked out of the loss and the gradient
+        # class-leading (classes, agents, batch) stacks: the max and the sum
+        # over classes run elementwise across contiguous k blocks; padding
+        # entries of the table are masked out of the loss and the gradient
         n = len(X)
         k, d = self.spec.n_classes, self.spec.d
         counts, mask, agent, slot = batches.counts, batches.mask, batches.agent, batches.slot
         feats = self.features[batches.table]
         labels = self.labels[batches.table]
-        probs = _softmax(X.reshape(n, k, d) @ feats.transpose(0, 2, 1), axis=1)
-        log_true = np.log(probs[agent, labels, slot] + 1e-300)
+        logits = X.reshape(n, k, d) @ feats.transpose(0, 2, 1)
+        probs = _softmax(np.ascontiguousarray(logits.transpose(1, 0, 2)), axis=0)
+        log_true = np.log(probs[labels, agent, slot] + 1e-300)
         losses = -np.sum(log_true * mask, axis=1) / counts
-        probs[agent, labels, slot] -= 1.0
-        probs *= mask[:, None, :]
-        grads = (probs @ feats) / counts[:, None, None]
+        probs[labels, agent, slot] -= 1.0
+        probs *= mask
+        grads = (probs.transpose(1, 0, 2) @ feats) / counts[:, None, None]
         return losses, grads.reshape(n, k * d)
 
 
@@ -646,15 +645,12 @@ class MlpProblem(_ClassificationProblem):
         super().__init__(spec, assignments)
         d, h, k = spec.d, spec.hidden, spec.n_classes
         self._shapes = [(h, d), (h,), (k, h), (k,)]
-        self.dim = h * d + h + k * h + k
+        self._ends = np.cumsum([math.prod(shape) for shape in self._shapes]).tolist()
+        self.dim = self._ends[-1]
 
     def _unpack(self, params):
-        out, pos = [], 0
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            out.append(params[pos : pos + size].reshape(shape))
-            pos += size
-        return out
+        starts = [0, *self._ends[:-1]]
+        return [params[a:b].reshape(s) for a, b, s in zip(starts, self._ends, self._shapes)]
 
     def _class_logits(self, cols, params):
         w1, b1, w2, b2 = self._unpack(params)

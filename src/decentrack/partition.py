@@ -84,7 +84,8 @@ def dirichlet_partition(
             return Partition(assignments=assignments)
     raise RuntimeError(
         f"could not satisfy min_per_agent={min_per_agent} after {_MAX_REDRAWS} "
-        f"redraws (alpha={alpha}, n_agents={n_agents})"
+        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha"
+        " (--partition.alpha) or lower min_per_agent (--partition.min_per_agent)"
     )
 
 

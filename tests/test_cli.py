@@ -177,6 +177,14 @@ class TestTrainSubcommand:
         ) == 1
         assert "no samples" in capsys.readouterr().err
 
+    def test_unsatisfiable_partition_names_the_fix(self, tmp_path, capsys):
+        assert run_cli(
+            "train", "--topology.kind=dyck", "--topology.n=32", f"--run.output_dir={tmp_path}"
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not satisfy min_per_agent=1")
+        assert "--partition.alpha" in err and "--partition.min_per_agent" in err
+
     @pytest.mark.parametrize(
         "flag, message",
         [

@@ -164,8 +164,19 @@ class TestModuleEntryPoint:
             ],
             ["trace_seed1.csv", "trace_seed2.csv"],
         ),
+        *(
+            (
+                [
+                    "train", f"--problem.kind={kind}", "--topology.kind=dyck",
+                    "--topology.n=32", "--partition.alpha=0.1", "--algorithm.kind=QG-GUTm",
+                    "--algorithm.mu=0.05", "--run.rounds=50", "--run.seeds=1",
+                ],
+                ["trace_seed1.csv"],
+            )
+            for kind in ("softmax", "mlp")
+        ),
     ],
-    ids=["consensus-ring1024", "train-quadratic"],
+    ids=["consensus-ring1024", "train-quadratic", "train-softmax", "train-mlp"],
 )
 def test_traces_independent_of_blas_threads(tmp_path, args, csvs):
     blobs = []

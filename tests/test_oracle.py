@@ -346,6 +346,47 @@ class TestBatchedOracle:
             oracle(np.zeros((1, 3)), 0)
 
 
+class TestQuadraticNoise:
+    """The quadratic oracle's noise loop: one PCG64 per agent, numpy's own draws."""
+
+    def quadratic(self, n, sigma):
+        return make_problem(
+            SyntheticProblemSpec(kind="quadratic", d=5, n_agents=n, zeta=1.0, sigma=sigma, seed=2)
+        )
+
+    @pytest.mark.parametrize("sigma,per_call", [(0.3, 1), (0.0, 0)])
+    def test_one_bit_generator_per_agent(self, sigma, per_call, monkeypatch):
+        problem = self.quadratic(12, sigma)
+        oracle = make_oracle(problem, seed=6)
+        built = []
+        pcg64 = np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(1) or pcg64(seed))
+        for rnd in range(3):
+            oracle(np.zeros((12, 5)), rnd)
+            assert len(built) == per_call * 12 * (rnd + 1)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 11, 2**100 + 5])
+    @pytest.mark.parametrize("rnd", [2**32, 2**32 + 7, 2**40 + 1])
+    def test_rows_are_generator_draws(self, seed, rnd):
+        # at X = b the exact gradient is zero, so G is sigma * noise exactly
+        problem = self.quadratic(6, 1.0)
+        _, G = make_oracle(problem, seed=seed)(problem.b.copy(), rnd)
+        for agent, words in enumerate(spawned_words(seed, range(6), rnd)):
+            assert np.array_equal(G[agent], models._generator(words).standard_normal(5))
+            assert np.array_equal(G[agent], reference_rng(seed, agent, rnd).standard_normal(5))
+
+    @pytest.mark.parametrize("n_words,dtype", [(624, np.uint32), (4, np.uint32), (2, np.uint64)])
+    def test_state_words_reject_other_requests(self, n_words, dtype):
+        shim = models._StateWords(spawned_words(3, [0], 1)[0])
+        with pytest.raises(ValueError, match="precomputed 4 uint64 words"):
+            shim.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.dtype("uint64"), "uint64"])
+    def test_state_words_accept_uint64(self, dtype):
+        words = spawned_words(3, [0], 1)[0]
+        assert models._StateWords(words).generate_state(4, dtype) is words
+
+
 class TestClassMajorSoftmaxOracle:
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     @pytest.mark.parametrize("batch", [None, 32])
