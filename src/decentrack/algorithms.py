@@ -198,13 +198,14 @@ def _around_mix(st, W, G, eta, delta, mc):
 
 def _gut(st, W, G, eta, mu, beta):
     """y = delta + mu*[W y_prev - (s - x)/eta - delta_prev], delta = g - (s - x)/eta."""
-    disp = st.S - st.X
-    return _around_mix(st, W, G, eta, G - disp / eta, mu * (W.mix(st.Y) - disp / eta - st.D))
+    correction = (st.S - st.X) / eta
+    return _around_mix(st, W, G, eta, G - correction, mu * (W.mix(st.Y) - correction - st.D))
 
 
 def _gut_matrix(st, W, G, eta, mu, beta):
-    delta = G - (st.S - st.X) / eta
-    Y = delta + mu * (W.mix(st.Y) - (st.S - st.X) / eta - st.D)
+    correction = (st.S - st.X) / eta
+    delta = G - correction
+    Y = delta + mu * (W.mix(st.Y) - correction - st.D)
     Xn = st.X - eta * Y
     return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
 
@@ -218,9 +219,9 @@ def _gut_bias(st, W, G, eta, mu, beta):
 
 def _gut_memeff(st, W, G, eta, mu, beta):
     # S is the incrementally maintained aggregate, never recomputed
-    disp = st.S - st.X
-    delta = G - disp / eta
-    Y = delta + mu * (W.mix(st.Y) - disp / eta - st.D)
+    correction = (st.S - st.X) / eta
+    delta = G - correction
+    Y = delta + mu * (W.mix(st.Y) - correction - st.D)
     return dict(X=st.X - eta * Y, S=st.S - eta * W.mix(Y), Y=Y, D=delta)
 
 

@@ -86,11 +86,14 @@ class MetricTrace:
 
 
 def consensus_error(X: np.ndarray) -> float:
-    """(1/n) * squared Frobenius distance of the rows from their mean."""
+    """(1/n) * squared Frobenius distance of the rows from their mean; einsum
+    adds the rows in mean's order, bit for bit, only on C-ordered stacks, d >= 2."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    centered = X - X.mean(axis=0)
+    n, d = X.shape
+    mean = np.einsum("ij->j", X) / n if d > 1 and X.flags.c_contiguous else X.mean(axis=0)
+    centered = X - mean
     np.multiply(centered, centered, out=centered)
-    return float(np.sum(centered) / X.shape[0])
+    return float(np.sum(centered) / n)
 
 
 def run_consensus(
@@ -123,17 +126,17 @@ def run_consensus(
     X = check_start(X0, W)
     d = X.shape[1]
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
-    rows = [TraceRow(round=0, consensus_error=consensus_error(X), comm_scalars=0)]
-    if on_round is not None:
-        on_round(0, X)
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
     Xp, WXp = X, None
     M = np.zeros_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
-    # divergence at aggressive mu is an intended experimental condition;
-    # it is detected via the finiteness check, not reported as a warning
+    # divergence at aggressive mu, and squares that overflow from round 0 on,
+    # are intended conditions: they show in the trace, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = [TraceRow(round=0, consensus_error=consensus_error(X), comm_scalars=0)]
+        if on_round is not None:
+            on_round(0, X)
         for t in range(1, T + 1):
             WX = W.mix(X)
             if WXp is None:
@@ -153,17 +156,13 @@ def run_consensus(
                 Xn *= 1.0 - beta
                 Xn += beta * M
                 Xn += X
-            if not np.all(np.isfinite(Xn)):
+            # a non-finite entry makes err non-finite, so finite rounds skip the scan
+            err = consensus_error(Xn)
+            if not math.isfinite(err) and not np.all(np.isfinite(Xn)):
                 divergent = True
                 break
             Xp, X, WXp = X, Xn, WX
-            rows.append(
-                TraceRow(
-                    round=t,
-                    consensus_error=consensus_error(X),
-                    comm_scalars=per_round_scalars * t,
-                )
-            )
+            rows.append(TraceRow(round=t, consensus_error=err, comm_scalars=per_round_scalars * t))
             if on_round is not None:
                 on_round(t, X)
     return MetricTrace(rows=rows, divergent=divergent)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,160 @@ class TestConsensusError:
             got = consensus_error(X)
         assert got == expected or (np.isnan(got) and np.isnan(expected))
         assert np.array_equal(X, before, equal_nan=True)  # the input is not squared
+
+
+def two_temporary_form(X):
+    """The reference value: mean-centred copy, squared copy, pairwise sum."""
+    X = np.atleast_2d(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = X - X.mean(axis=0)
+        return float(np.sum(centered * centered) / X.shape[0])
+
+
+def assert_matches_two_temporary_form(X):
+    before = X.copy(order="K")
+    expected = two_temporary_form(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = consensus_error(X)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert np.array_equal(X, before, equal_nan=True)
+
+
+def magnitude_stack(n, d, seed):
+    """Rows scaled by 10**[-8, 8), so the column sums depend on their order."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+
+
+def offset_stack(n, d, seed):
+    """Columns far from zero, so the rounding of the centred values
+    depends on the last bits of the column means."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) + rng.uniform(-1e3, 1e3, size=d)
+
+
+class TestConsensusErrorLayouts:
+    # einsum's column sums are taken only on C-ordered stacks with d >= 2;
+    # on other layouts, and at d = 1, they differ from mean's in the last
+    # bits, which moves the value in some of the seeds below
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 32, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 1024, 4096])
+    def test_c_ordered(self, n, d):
+        for seed in range(3):
+            for X in (magnitude_stack(n, d, seed), offset_stack(n, d, seed)):
+                assert X.flags.c_contiguous
+                assert_matches_two_temporary_form(X)
+
+    @pytest.mark.parametrize("d", [2, 3, 32, 200])
+    @pytest.mark.parametrize("n", [2, 33, 1024])
+    def test_f_ordered(self, n, d):
+        for seed in range(10):
+            for stack in (magnitude_stack, offset_stack):
+                X = np.asfortranarray(stack(n, d, seed))
+                assert not X.flags.c_contiguous
+                assert_matches_two_temporary_form(X)
+                assert_matches_two_temporary_form(stack(d, n, seed).T)
+
+    @pytest.mark.parametrize("cols", [slice(None, None, 2), slice(1, None, 3), slice(5, 6)])
+    @pytest.mark.parametrize("n", [3, 33, 1024])
+    def test_strided_views(self, n, cols):
+        for seed in range(3):
+            for X in (magnitude_stack(n, 64, seed), offset_stack(n, 64, seed)):
+                assert_matches_two_temporary_form(X[:, cols])
+                assert_matches_two_temporary_form(X[::2, cols])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize(
+        "case",
+        ["inf", "-inf", "inf and -inf", "nan", "squares overflow", "sums overflow"],
+    )
+    def test_non_finite(self, case, d, order):
+        X = magnitude_stack(1024, d, seed=d)
+        if case == "inf":
+            X[7, 0] = np.inf
+        elif case == "-inf":
+            X[1000, d - 1] = -np.inf
+        elif case == "inf and -inf":
+            X[3, 0], X[900, 0] = np.inf, -np.inf
+        elif case == "nan":
+            X[512, d // 2] = np.nan
+        elif case == "squares overflow":
+            X = np.random.default_rng(d).standard_normal((1024, d)) * 1e200
+        else:
+            X = np.full((1024, d), 1.5e308)
+            X[::2] *= 0.5
+        X = np.asarray(X, order=order)
+        assert_matches_two_temporary_form(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(consensus_error(X))
+
+
+def scanning_gut_consensus(W, X0, mu, T):
+    """The consensus loop's gut arithmetic, scanning every round for a
+    non-finite entry; returns the finite iterates X^1, X^2, ..."""
+    X, Xp, WXp = X0.copy(), X0.copy(), None
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(T):
+            WX = W.mix(X)
+            WXp = WX if WXp is None else WXp
+            Xn = WX + mu * (2.0 * (WX - WXp) - X + Xp)
+            if not np.all(np.isfinite(Xn)):
+                break
+            Xp, X, WXp = X, Xn, WX
+            out.append(X)
+    return out
+
+
+class TestConsensusLoopMetric:
+    GRAPHS = {
+        "ring16": ("ring", 16),
+        "ring1024": ("ring", 1024),
+        "torus64": ("torus", 64),
+        "dyck32": ("dyck", 32),
+    }
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("method", ["gossip", "gut", "qg-gutm"])
+    def test_rows_are_the_error_of_the_iterates(self, method, graph, d):
+        W = build_topology(*self.GRAPHS[graph])
+        X0 = np.random.default_rng(d).standard_normal((W.n, d))
+        seen = []
+        trace = run_consensus(
+            W, X0, method=method, mu=0.1, beta=0.9, T=30,
+            on_round=lambda t, X: seen.append(two_temporary_form(X)),
+        )
+        assert not trace.divergent
+        assert [r.consensus_error for r in trace.rows] == seen
+
+    def test_divergence_round_matches_a_scan_every_round(self):
+        W = build_topology("ring", 8)
+        X0 = np.random.default_rng(5).standard_normal((8, 4))
+        ref = scanning_gut_consensus(W, X0, mu=0.9, T=2000)
+        trace = run_consensus(W, X0, method="gut", mu=0.9, T=2000)
+        assert trace.divergent and len(ref) < 2000
+        assert trace.rows[-1].round == len(ref)
+        errors = [r.consensus_error for r in trace.rows[1:]]
+        assert errors == [two_temporary_form(X) for X in ref]
+        # the last rows are finite stacks whose squares overflow
+        assert errors[-1] == math.inf and np.all(np.isfinite(ref[-1]))
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_finite_stack_with_overflowing_squares_is_not_flagged(self, n, d):
+        W = build_topology("ring", n)
+        X0 = np.random.default_rng(n + d).standard_normal((n, d)) * 1e200
+        finite = []
+        trace = run_consensus(
+            W, X0, method="gossip", T=20,
+            on_round=lambda t, X: finite.append(bool(np.all(np.isfinite(X)))),
+        )
+        assert not trace.divergent
+        assert all(finite)
+        assert [r.consensus_error for r in trace.rows] == [math.inf] * 21
 
 
 class TestRunConsensus:
