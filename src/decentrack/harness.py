@@ -85,13 +85,17 @@ class MetricTrace:
         return self.rows[-1]
 
 
-def consensus_error(X: np.ndarray) -> float:
+def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     """(1/n) * squared Frobenius distance of the rows from their mean; einsum
-    adds the rows in mean's order, bit for bit, only on C-ordered stacks, d >= 2."""
+    adds the rows in mean's order, bit for bit, only on C-ordered stacks, d >= 2.
+
+    ``out``, an array of X's 2-D shape other than X, receives the centred
+    rows instead of a new array.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     mean = np.einsum("ij->j", X) / n if d > 1 and X.flags.c_contiguous else X.mean(axis=0)
-    centered = X - mean
+    centered = np.subtract(X, mean, out=out)
     np.multiply(centered, centered, out=centered)
     return float(np.sum(centered) / n)
 
@@ -129,12 +133,13 @@ def run_consensus(
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
     Xp, WXp = X, None
     M = np.zeros_like(X)
+    centred = np.empty_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
     # divergence at aggressive mu, and squares that overflow from round 0 on,
     # are intended conditions: they show in the trace, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [TraceRow(round=0, consensus_error=consensus_error(X), comm_scalars=0)]
+        rows = [TraceRow(round=0, consensus_error=consensus_error(X, centred), comm_scalars=0)]
         if on_round is not None:
             on_round(0, X)
         for t in range(1, T + 1):
@@ -157,7 +162,7 @@ def run_consensus(
                 Xn += beta * M
                 Xn += X
             # a non-finite entry makes err non-finite, so finite rounds skip the scan
-            err = consensus_error(Xn)
+            err = consensus_error(Xn, centred)
             if not math.isfinite(err) and not np.all(np.isfinite(Xn)):
                 divergent = True
                 break
@@ -221,6 +226,7 @@ def run_training(
         X0 = np.tile(x0, (W.n, 1))
         oracle = models.make_oracle(problem, batch_size, seed=seed)
         states = init_states(X0, W)
+        centred = np.empty_like(X0)
         rows: list[TraceRow] = []
         divergent = False
         # overflow on a diverging run is expected and surfaces as the
@@ -234,7 +240,7 @@ def run_training(
                     break
                 row = TraceRow(
                     round=t,
-                    consensus_error=consensus_error(states.X),
+                    consensus_error=consensus_error(states.X, centred),
                     mean_loss=float(np.mean(states.losses)),
                     eta=spec.lr(t),
                     comm_scalars=scalars_per_round * (t + 1),

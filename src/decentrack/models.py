@@ -426,8 +426,10 @@ class QuadraticProblem(Problem):
 
     def batched_oracle(self, batch_size, seed):
         # standard_normal needs numpy's ziggurat, so each agent gets its own
-        # PCG64 and Generator; the seed hashing and the seed shim are shared
+        # PCG64 and Generator; the seed hashing, the seed shim and the noise
+        # buffer are shared
         keys = _KeyPool(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
+        noise = np.empty((self.n_agents, self.dim)) if keys is not None else None
 
         def oracle(X, rnd):
             self._check_params(X)
@@ -435,11 +437,12 @@ class QuadraticProblem(Problem):
             losses = 0.5 * self.L * np.einsum("ij,ij->i", G, G)
             G *= self.L
             if keys is not None:
-                noise = np.empty_like(G)
                 shim = _StateWords(None)
                 for row, shim.words in zip(noise, keys.state_words([rnd])[0]):
                     np.random.Generator(np.random.PCG64(shim)).standard_normal(out=row)
-                G += self.sigma * noise
+                # the same rounding as G += sigma * noise, with no temporary
+                np.multiply(noise, self.sigma, out=noise)
+                G += noise
             return losses, G
 
         return oracle

@@ -10,7 +10,7 @@ gossip averaging contracts toward consensus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class SpectralStats:
     rho: float
 
 
-@dataclass
 class MixingMatrix:
     """Doubly stochastic gossip weight matrix over ``n`` agents.
 
@@ -64,25 +63,21 @@ class MixingMatrix:
     all built-in topologies include a positive self-loop.  A neighbour
     table is built once from ``edges``: row i of ``peers`` is agent i
     followed by its neighbours in ascending order, padded with i up to
-    the largest degree.  ``mix`` reads the table's entries of ``weights``
-    at call time, so ``weights`` may be changed or reassigned as long as
-    its nonzero pattern stays that of ``edges``.  The gather holds an
-    (n, 1 + max degree, d) array: it suits sparse graphs.
+    the largest degree.  ``peer_weights`` holds the weights aligned with
+    ``peers``, 0 on padding: taken from ``weights``, or 1 / (1 + max
+    degree) everywhere when ``weights`` is None (the built-in graphs are
+    regular).  The dense ``weights`` is built from the table on first
+    read; once read or assigned it is what ``mix`` reads at call time, so
+    it may be changed or reassigned as long as its nonzero pattern stays
+    that of ``edges``.  The gather keeps one (n, 1 + max degree, *trailing)
+    buffer per trailing shape and dtype, so one matrix must not ``mix`` in
+    two threads at once; it suits sparse graphs.
     """
 
-    n: int
-    weights: np.ndarray
-    edges: list[tuple[int, int]]
-    peers: np.ndarray = field(init=False, repr=False, compare=False)
-    degrees: np.ndarray = field(init=False, repr=False, compare=False)
-    gather: bool = field(init=False, repr=False, compare=False)
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
-    real: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n
-        flat = itertools.chain.from_iterable(self.edges)
-        ends = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+    def __init__(self, n: int, weights: np.ndarray | None, edges: list[tuple[int, int]]):
+        self.n, self.edges = n, edges
+        flat = itertools.chain.from_iterable(edges)
+        ends = np.fromiter(flat, dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
         order = np.lexsort((dst, src))
@@ -98,6 +93,30 @@ class MixingMatrix:
         # flat index of weights[i, peers[i, k]]; ``real`` is 0 on padding
         self.slots = self.peers + n * np.arange(n)[:, None]
         self.real = (np.arange(width) <= self.degrees[:, None]).astype(float)
+        self._table = (
+            self.real / width if weights is None else np.take(weights, self.slots) * self.real
+        )
+        self._weights: np.ndarray | None = None
+        self._gathered: dict = {}
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            # padding aliases the self slot, so only the real slots are written
+            real = self.real > 0
+            self._weights = np.zeros((self.n, self.n))
+            self._weights.flat[self.slots[real]] = self._table[real]
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights: np.ndarray):
+        self._weights = weights
+
+    @property
+    def peer_weights(self) -> np.ndarray:
+        if self._weights is None:
+            return self._table
+        return np.take(self._weights, self.slots) * self.real
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """W X: dense product below the gather crossover, neighbour gather above."""
@@ -105,9 +124,13 @@ class MixingMatrix:
             raise ValueError(f"mix needs {self.n} rows, got shape {X.shape}")
         if not self.gather:
             return self.weights @ X
-        peer_weights = np.take(self.weights, self.slots) * self.real
-        # np.take builds the same array as X[self.peers], in about 2/3 of the time
-        return np.einsum("nk,nk...->n...", peer_weights, np.take(X, self.peers, axis=0))
+        key = (X.shape[1:], X.dtype)
+        if key not in self._gathered:
+            self._gathered[key] = np.empty(self.peers.shape + key[0], X.dtype)
+        # the same array as X[self.peers]; under mode="raise" numpy fills a
+        # temporary and copies it into out, and peers are valid indices
+        gathered = np.take(X, self.peers, axis=0, out=self._gathered[key], mode="clip")
+        return np.einsum("nk,nk...->n...", self.peer_weights, gathered)
 
     def degree(self, i: int) -> int:
         """Number of neighbors of agent ``i``, excluding itself."""
@@ -133,15 +156,6 @@ def _ring_edges(n: int) -> np.ndarray:
     return np.stack([i, (i + 1) % n], axis=1)
 
 
-def _matrix_from_edges(n: int, ends: np.ndarray, peers: int) -> np.ndarray:
-    w = np.zeros((n, n))
-    v = 1.0 / peers
-    np.fill_diagonal(w, v)
-    w[ends[:, 0], ends[:, 1]] = v
-    w[ends[:, 1], ends[:, 0]] = v
-    return w
-
-
 def _square_grid(n: int) -> tuple[int, int]:
     """Most-square factorization rows * cols == n with rows <= cols."""
     best = None
@@ -162,11 +176,11 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
     if kind == "ring":
         if n < 3:
             raise ValueError(f"ring topology requires n >= 3, got n={n}")
-        pairs, peers = _ring_edges(n), 3
+        pairs = _ring_edges(n)
     elif kind == "dyck":
         if n != 32:
             raise ValueError(f"dyck topology is a fixed graph on 32 agents, got n={n}")
-        pairs, peers = np.concatenate([_ring_edges(32), _DYCK_CHORDS]), 4
+        pairs = np.concatenate([_ring_edges(32), _DYCK_CHORDS])
     elif kind == "torus":
         if n < 9:
             raise ValueError(f"torus topology requires n >= 9, got n={n}")
@@ -181,19 +195,23 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
         r, c = np.divmod(i, cols)
         right = r * cols + (c + 1) % cols
         down = ((r + 1) % rows) * cols + c
-        pairs, peers = np.concatenate([np.stack([i, right], 1), np.stack([i, down], 1)]), 5
+        pairs = np.concatenate([np.stack([i, right], 1), np.stack([i, down], 1)])
     else:
         raise ValueError(f"unknown topology kind {kind!r}; expected ring, dyck or torus")
     # undirected edges as (min, max) pairs in ascending order; the built-in
     # families have no repeated edge, and np.unique costs ~1.3 MB peak RSS
     keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-    ends = np.stack(np.divmod(keys, n), axis=1)
-    edges = list(map(tuple, ends.tolist()))
-    return MixingMatrix(n=n, weights=_matrix_from_edges(n, ends, peers), edges=edges)
+    edges = list(map(tuple, np.stack(np.divmod(keys, n), axis=1).tolist()))
+    # every built-in graph is regular, so the table's uniform weight is 1 / peers
+    return MixingMatrix(n=n, weights=None, edges=edges)
 
 
 def as_mixing(weights: np.ndarray) -> MixingMatrix:
-    """Wrap a raw weight matrix, deriving edges from nonzero off-diagonals."""
+    """Wrap a raw weight matrix, deriving edges from nonzero off-diagonals.
+
+    Every nonzero entry sits on an edge or the diagonal, so the neighbour
+    table holds the whole matrix and ``weights`` is rebuilt from it.
+    """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")

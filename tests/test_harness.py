@@ -54,6 +54,30 @@ class TestConsensusError:
         assert np.array_equal(X, before, equal_nan=True)  # the input is not squared
 
 
+class TestConsensusErrorBuffer:
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.random.default_rng(1).standard_normal((1024, 32)),
+            np.random.default_rng(2).standard_normal((7, 5)) * 1e300,  # squares overflow
+            np.random.default_rng(3).standard_normal((9, 1)),
+            np.asfortranarray(np.random.default_rng(4).standard_normal((6, 4))),
+            np.array([[1.0, np.inf], [2.0, 3.0]]),
+            np.array([[1.0, np.nan], [2.0, 3.0]]),
+        ],
+    )
+    def test_out_matches_fresh_array(self, X):
+        before = X.copy(order="K")
+        out = np.full(X.shape, 7.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = consensus_error(X)
+            got = consensus_error(X, out)
+            again = consensus_error(X, out)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert again == got or (math.isnan(again) and math.isnan(got))
+        assert np.array_equal(X, before, equal_nan=True)
+
+
 def two_temporary_form(X):
     """The reference value: mean-centred copy, squared copy, pairwise sum."""
     X = np.atleast_2d(X)

@@ -1,5 +1,7 @@
 """The mixing operator W.mix, the neighbour table and the stacked State."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from decentrack.topology import as_mixing, build_topology
 def irregular_graph(n=256, chords=40, seed=0):
     """Ring plus random chords with Metropolis weights: doubly stochastic,
     symmetric, degrees 2 to about 5."""
+    return as_mixing(irregular_weights(n, chords, seed))
+
+
+def irregular_weights(n=256, chords=40, seed=0):
+    """The weight matrix of ``irregular_graph``."""
     rng = np.random.default_rng(seed)
     adj = np.zeros((n, n), dtype=bool)
     i = np.arange(n)
@@ -28,7 +35,7 @@ def irregular_graph(n=256, chords=40, seed=0):
     deg = adj.sum(axis=1)
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return as_mixing(w)
+    return w
 
 
 def gather_graphs():
@@ -191,6 +198,83 @@ class TestNeighbourTable:
         assert comm_cost(AlgorithmSpec(kind="GUT", eta=0.1), 7, W) == expected
         small = irregular_graph(40, 7, 0)
         assert comm_cost(AlgorithmSpec(kind="GUT", eta=0.1), 3, small) == 7.05
+
+
+def matrix_from_edges(n, ends, peers):
+    """The eager dense build ``build_topology`` used before the weights were
+    held in the neighbour table: 1 / peers on the diagonal and every edge."""
+    w = np.zeros((n, n))
+    v = 1.0 / peers
+    np.fill_diagonal(w, v)
+    w[ends[:, 0], ends[:, 1]] = v
+    w[ends[:, 1], ends[:, 0]] = v
+    return w
+
+
+class TestTableWeights:
+    PEERS = {"ring": 3, "dyck": 4, "torus": 5}
+
+    @pytest.mark.parametrize("kind,n,grid", [g for g in TABLE_GRAPHS if g[0] != "irregular"])
+    def test_lazy_weights_equal_eager_build(self, kind, n, grid):
+        W = build_topology(kind, n, grid)
+        assert W._weights is None
+        expected = matrix_from_edges(n, np.array(W.edges), self.PEERS[kind])
+        assert np.array_equal(W.weights, expected)
+        assert W.weights is W.weights
+
+    def test_as_mixing_round_trips_padded_irregular_graph(self):
+        w = irregular_weights()
+        W = as_mixing(w)
+        assert len(set(W.degrees.tolist())) > 1 and np.any(W.real == 0)
+        assert np.array_equal(W.peer_weights, np.take(w, W.slots) * W.real)
+        X = np.random.default_rng(4).standard_normal((W.n, 6))
+        from_table = W.mix(X)
+        assert np.array_equal(W.weights, w)
+        assert np.array_equal(W.mix(X), from_table)
+
+    def test_large_ring_builds_no_dense_matrix(self):
+        # the dense ring-16384 matrix alone would take 2 GiB
+        X = np.random.default_rng(0).standard_normal((16384, 4))
+        tracemalloc.start()
+        try:
+            W = build_topology("ring", 16384)
+            out = W.mix(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        ring = (X + np.roll(X, 1, axis=0) + np.roll(X, -1, axis=0)) / 3
+        assert np.max(np.abs(out - ring)) <= 1e-14 * np.max(np.abs(X))
+
+
+class TestGatherBuffer:
+    SHAPES = [((), np.float64), ((1,), np.float64), ((32,), np.float64), ((4, 3), np.float64),
+              ((32,), np.float32)]
+
+    @pytest.mark.parametrize("name", sorted(gather_graphs()))
+    def test_outputs_are_fresh_and_bit_equal_across_shapes(self, name):
+        W = gather_graphs()[name]
+        rng = np.random.default_rng(7)
+        outs = []
+        for shape, dtype in self.SHAPES * 2:
+            X = rng.standard_normal((W.n, *shape)).astype(dtype)
+            out = W.mix(X)
+            assert np.array_equal(out, np.einsum("nk,nk...->n...", W.peer_weights, X[W.peers]))
+            outs.append(out)
+        buffers = list(W._gathered.values())
+        assert len(buffers) == len(self.SHAPES)
+        for i, out in enumerate(outs):
+            for other in outs[i + 1 :] + buffers:
+                assert not np.shares_memory(out, other)
+
+    def test_buffer_is_kept_per_shape(self):
+        W = build_topology("ring", 256)
+        X = np.ones((256, 8))
+        W.mix(X)
+        (buffer,) = W._gathered.values()
+        W.mix(2 * X)
+        assert list(W._gathered.values()) == [buffer]
+        assert buffer.shape == (256, 3, 8)
 
 
 def quad_oracle(b):

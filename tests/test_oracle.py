@@ -387,6 +387,24 @@ class TestQuadraticNoise:
         assert models._StateWords(words).generate_state(4, dtype) is words
 
 
+class TestQuadraticNoiseBuffer:
+    def test_calls_return_arrays_that_share_no_memory(self):
+        problem = make_problem(
+            SyntheticProblemSpec(kind="quadratic", d=5, n_agents=12, zeta=1.0, sigma=0.3, seed=2)
+        )
+        oracle = make_oracle(problem, seed=6)
+        X = np.random.default_rng(0).standard_normal((12, 5))
+        _, first = oracle(X, 0)
+        kept = first.copy()
+        _, second = oracle(X, 1)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        # the buffer is scaled in place: the same roundings as G + sigma * noise
+        for rnd, G in ((0, first), (1, second)):
+            noise = np.stack([reference_rng(6, i, rnd).standard_normal(5) for i in range(12)])
+            assert np.array_equal(G, problem.L * (X - problem.b) + 0.3 * noise)
+
+
 class TestClassMajorSoftmaxOracle:
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     @pytest.mark.parametrize("batch", [None, 32])
