@@ -150,10 +150,15 @@ class State:
 
 
 def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
-    """Initial state: S = W X0, x_prev = X0, all other buffers zero."""
+    """Initial state: S = W X0, x_prev = X0, all other buffers zero.
+
+    Rounds never write into a state's arrays, so Xp is X itself and the
+    zero buffers are one read-only array.
+    """
     X0 = check_start(X0, W)
-    Y, D, M, B = (np.zeros_like(X0) for _ in range(4))
-    return State(X=X0, S=W.mix(X0), Y=Y, D=D, M=M, B=B, Xp=X0.copy())
+    zeros = np.zeros_like(X0)
+    zeros.setflags(write=False)
+    return State(X=X0, S=W.mix(X0), Y=zeros, D=zeros, M=zeros, B=zeros, Xp=X0)
 
 
 # Each rule maps (state, W, G, eta, mu, beta) to the arrays of the next
@@ -191,15 +196,31 @@ def _gt(st, W, G, eta, mu, beta):
 
 def _around_mix(st, W, G, eta, delta, mc):
     """y = delta + mc, and x - eta*y rearranged around the mixed point as
-    s - eta*(g + mc), which is exactly W x - eta g when mc = 0."""
-    Xn = st.S - eta * (G + mc)
-    return dict(X=Xn, S=W.mix(Xn), Y=delta + mc, D=delta)
+    s - eta*(g + mc), which is exactly W x - eta g when mc = 0.
+
+    ``mc`` must be the caller's own array: y is summed into it.
+    """
+    Xn = np.add(G, mc)
+    Xn *= eta
+    np.subtract(st.S, Xn, out=Xn)
+    mc += delta
+    return dict(X=Xn, S=W.mix(Xn), Y=mc, D=delta)
 
 
 def _gut(st, W, G, eta, mu, beta):
-    """y = delta + mu*[W y_prev - (s - x)/eta - delta_prev], delta = g - (s - x)/eta."""
-    correction = (st.S - st.X) / eta
-    return _around_mix(st, W, G, eta, G - correction, mu * (W.mix(st.Y) - correction - st.D))
+    """y = delta + mu*[W y_prev - (s - x)/eta - delta_prev], delta = g - (s - x)/eta.
+
+    In place in the arrays the round returns: the same operations in the
+    same order as the expressions above, so the same roundings.
+    """
+    correction = np.subtract(st.S, st.X)
+    correction /= eta
+    mc = W.mix(st.Y)
+    mc -= correction
+    mc -= st.D
+    mc *= mu
+    delta = np.subtract(G, correction, out=correction)
+    return _around_mix(st, W, G, eta, delta, mc)
 
 
 def _gut_matrix(st, W, G, eta, mu, beta):

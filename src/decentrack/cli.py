@@ -205,9 +205,12 @@ def _partition(config: dict, labels) -> partition.Partition:
 
 def _build_problem(config: dict) -> models.Problem:
     spec = _problem_spec(config)
+    base = models.make_problem(spec)
     if spec.kind == "quadratic":
-        return models.make_problem(spec)
-    part = _partition(config, models.make_problem(spec).labels)
+        return base
+    # base stays alive while the partitioned problem is built, which
+    # therefore shares its dataset instead of drawing it again
+    part = _partition(config, base.labels)
     return models.make_problem(spec, assignments=part.assignments)
 
 

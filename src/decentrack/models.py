@@ -28,6 +28,11 @@ raw words to indices with numpy's own algorithm for ``Generator.integers``
 (``_lemire_map``); the rare row whose draws hit a rejection is drawn again
 by numpy itself.  Quadratic noise costs only numpy's own calls: one PCG64
 build, one ``Generator`` and one ziggurat ``standard_normal`` per agent.
+
+A problem's data (the quadratic's optima; a classification dataset, its
+test set and default split) is drawn once per spec: a problem built while
+another of an equal spec is alive shares that problem's arrays, which are
+read-only.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,6 +372,48 @@ class Problem:
         raise NotImplementedError
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+# The draws of the specs that live problems were built from.  A problem
+# holds its draw, so an entry lasts while any problem of its spec is alive
+# and goes with the last one.  Draws are a pure function of the spec and
+# read-only, so a build that finds its spec here holds what drawing again
+# would give it.
+_DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_draw(spec: SyntheticProblemSpec, draw_type):
+    """The live draw of ``spec``, or a new ``draw_type(spec)`` registered under it."""
+    draw = _DRAWS.get(spec)
+    if draw is None:
+        draw = _DRAWS[spec] = draw_type(spec)
+    return draw
+
+
+class _QuadraticDraw:
+    """The optima of a quadratic spec: ``b_bar`` and ``b`` = b_bar + zeta * u."""
+
+    def __init__(self, spec: SyntheticProblemSpec):
+        rng = np.random.default_rng(spec.seed)
+        b_bar = rng.normal(size=spec.d)
+        if spec.zeta > 0:
+            u = rng.normal(size=(spec.n_agents, spec.d))
+            u -= u.mean(axis=0)
+            u /= np.sqrt(np.mean(np.sum(u * u, axis=1)))
+        else:
+            u = np.zeros((spec.n_agents, spec.d))
+        with np.errstate(over="ignore"):
+            b = b_bar + spec.zeta * u
+        # zeta * zeta comes first, so an overflowing zeta**2 is caught here
+        if not (math.isfinite(spec.zeta * spec.zeta * spec.L) and np.isfinite(b).all()):
+            raise ValueError(f"zeta={spec.zeta!r} overflows the optima b_i or f* = L zeta^2 / 2")
+        _read_only(b_bar, b)
+        self.b_bar, self.b = b_bar, b
+
+
 class QuadraticProblem(Problem):
     """f_i(x) = (L/2) ||x - b_i||^2 with b_i = b_bar + zeta * u_i.
 
@@ -387,20 +435,9 @@ class QuadraticProblem(Problem):
         self.seed = spec.seed
         self.sigma = spec.sigma
         self.L = spec.L
-        rng = np.random.default_rng(spec.seed)
-        b_bar = rng.normal(size=spec.d)
-        if spec.zeta > 0:
-            u = rng.normal(size=(spec.n_agents, spec.d))
-            u -= u.mean(axis=0)
-            u /= np.sqrt(np.mean(np.sum(u * u, axis=1)))
-        else:
-            u = np.zeros((spec.n_agents, spec.d))
-        with np.errstate(over="ignore"):
-            self.b = b_bar + spec.zeta * u
-        # zeta * zeta comes first, so an overflowing zeta**2 is caught here
-        if not (math.isfinite(spec.zeta * spec.zeta * spec.L) and np.isfinite(self.b).all()):
-            raise ValueError(f"zeta={spec.zeta!r} overflows the optima b_i or f* = L zeta^2 / 2")
-        self.x_star = b_bar
+        self._draw = _shared_draw(spec, _QuadraticDraw)
+        self.b = self._draw.b
+        self.x_star = self._draw.b_bar
         self.f_star = 0.5 * spec.L * spec.zeta**2
 
     def draw_batch(self, agent, rnd, batch_size=None, seed=None):
@@ -455,15 +492,30 @@ class QuadraticProblem(Problem):
         return self.global_loss(params), None
 
 
-def _make_clusters(spec: SyntheticProblemSpec, rng: np.random.Generator, n: int):
-    with np.errstate(over="ignore"):
-        means = spec.separation * rng.normal(size=(spec.n_classes, spec.d))
-    if not np.isfinite(means).all():
-        raise ValueError(f"separation={spec.separation!r} overflows the class means")
-    labels = np.arange(n) % spec.n_classes
-    rng.shuffle(labels)
-    feats = means[labels] + rng.normal(size=(n, spec.d))
-    return feats, labels, means
+class _ClassificationDraw:
+    """A classification spec's data: the training samples and their class
+    means, the test set, and ``split``, the default even split of a
+    permutation of the samples over the agents."""
+
+    def __init__(self, spec: SyntheticProblemSpec):
+        rng = np.random.default_rng(spec.seed)
+        k, n = spec.n_classes, spec.n_samples
+        with np.errstate(over="ignore"):
+            self.means = spec.separation * rng.normal(size=(k, spec.d))
+        if not np.isfinite(self.means).all():
+            raise ValueError(f"separation={spec.separation!r} overflows the class means")
+        self.labels = np.arange(n) % k
+        rng.shuffle(self.labels)
+        self.features = self.means[self.labels] + rng.normal(size=(n, spec.d))
+        n_test = max(k, n // 5)
+        self.test_labels = np.arange(n_test) % k
+        self.test_features = self.means[self.test_labels] + rng.normal(size=(n_test, spec.d))
+        order = rng.permutation(n)
+        _read_only(
+            self.features, self.labels, self.means, self.test_features, self.test_labels, order
+        )
+        # slices of the read-only permutation, so read-only themselves
+        self.split = np.array_split(order, spec.n_agents)
 
 
 class _IndexTable:
@@ -488,22 +540,30 @@ class _ClassificationProblem(Problem):
         self.spec = spec
         self.n_agents = spec.n_agents
         self.seed = spec.seed
-        rng = np.random.default_rng(spec.seed)
-        self.features, self.labels, self._means = _make_clusters(
-            spec, rng, spec.n_samples
-        )
-        n_test = max(spec.n_classes, spec.n_samples // 5)
-        self.test_features = (
-            self._means[np.arange(n_test) % spec.n_classes]
-            + rng.normal(size=(n_test, spec.d))
-        )
-        self.test_labels = np.arange(n_test) % spec.n_classes
+        self._draw = draw = _shared_draw(spec, _ClassificationDraw)
+        self.features, self.labels, self._means = draw.features, draw.labels, draw.means
+        self.test_features, self.test_labels = draw.test_features, draw.test_labels
         if assignments is None:
-            assignments = np.array_split(rng.permutation(spec.n_samples), spec.n_agents)
+            assignments = draw.split
         self.assignments = [np.asarray(a) for a in assignments]
+        if len(self.assignments) != spec.n_agents:
+            raise ValueError(
+                f"expected one assignment per agent ({spec.n_agents}),"
+                f" got {len(self.assignments)}"
+            )
         for agent, local in enumerate(self.assignments):
-            if len(local) == 0:
+            if local.size == 0:
                 raise ValueError(f"agent {agent} is assigned no samples")
+            if local.ndim != 1 or local.dtype.kind not in "iu":
+                raise ValueError(
+                    f"agent {agent}'s assignment must be a 1-D integer array of"
+                    f" sample indices, got shape {local.shape} and dtype {local.dtype}"
+                )
+            if local.min() < 0 or local.max() >= spec.n_samples:
+                raise ValueError(
+                    f"agent {agent} is assigned sample indices outside"
+                    f" [0, {spec.n_samples})"
+                )
 
     def draw_batch(self, agent, rnd, batch_size=None, seed=None):
         key = (self.seed if seed is None else seed, agent, rnd)

@@ -60,6 +60,12 @@ class TestInitStates:
             assert np.all(buf == 0)
         assert np.array_equal(states.Xp, states.X)
 
+    def test_zero_buffers_are_one_read_only_array(self):
+        states = init_states(np.ones((4, 2)), build_topology("ring", 4))
+        assert states.Y is states.D is states.M is states.B
+        assert not states.Y.flags.writeable
+        assert states.Xp is states.X
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="must be"):
             init_states(np.zeros((3, 2)), UNIFORM2)
@@ -349,6 +355,45 @@ class TestAblationRules:
         for kind in ("RuleA", "RuleB"):
             traj = run_trajectory(kind, W, X0, oracle, T=10, eta=0.05, mu=0.9)
             assert np.max(np.abs(traj[-1] - ref[-1])) > 1e-6
+
+
+def expression_round(kind, st, W, G, eta, mu):
+    """A GUT, RuleA or RuleB round as fresh-array expressions of its update equations."""
+    correction = (st.S - st.X) / eta
+    delta = G - correction
+    if kind == "GUT":
+        mc = mu * (W.mix(st.Y) - correction - st.D)
+    elif kind == "RuleA":
+        mc = mu * (W.mix(st.Y) - st.D)
+    else:
+        dx = st.X - st.Xp
+        mc = mu * (-(W.mix(dx) - dx) / eta)
+    Xn = st.S - eta * (G + mc)
+    return dict(X=Xn, S=W.mix(Xn), Y=delta + mc, D=delta)
+
+
+class TestInPlaceRounds:
+    """The rounds that compute in place give the expressions' bits and
+    leave the state they start from untouched."""
+
+    @pytest.mark.parametrize("n", [8, 256])  # dense and gather mixing
+    @pytest.mark.parametrize("kind", ["GUT", "RuleA", "RuleB"])
+    def test_match_fresh_array_expressions(self, kind, n):
+        W = build_topology("ring", n)
+        prob = make_quadratic(
+            SyntheticProblemSpec(kind="quadratic", d=5, n_agents=n, zeta=1.0, sigma=0.1, seed=3)
+        )
+        oracle = make_oracle(prob, seed=9)
+        spec = AlgorithmSpec(kind=kind, eta=0.1, mu=0.3)
+        state = init_states(np.random.default_rng(15).standard_normal((n, 5)), W)
+        for _ in range(12):
+            for array in (state.X, state.S, state.Y, state.D, state.Xp):
+                array.setflags(write=False)
+            _, G = oracle(state.S, state.round)
+            expected = expression_round(kind, state, W, G, spec.eta, spec.mu)
+            state = run_round(state, W, spec, oracle)
+            for name, array in expected.items():
+                assert getattr(state, name).tobytes() == array.tobytes(), name
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decentrack import models
 from decentrack.cli import _COMMANDS, KEYS, emit_plot, main, parse_config
 from decentrack.harness import MetricTrace, TraceRow
 
@@ -145,6 +147,26 @@ class TestTrainSubcommand:
             if key == "run.output_dir":
                 continue
             assert reparsed[key] == original[key], key
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_dataset_drawn_once_per_run(self, tmp_path, monkeypatch, kind):
+        # the partition reads the labels of a problem that stays alive while
+        # the partitioned one is built, so the two share one draw
+        draws = []
+
+        class CountingDraw(models._ClassificationDraw):
+            def __init__(self, spec):
+                draws.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(models, "_ClassificationDraw", CountingDraw)
+        for run in range(2):
+            gc.collect()
+            assert run_cli(
+                "train", f"--problem.kind={kind}", "--problem.samples=500", "--partition.alpha=1",
+                "--run.rounds=2", "--run.seeds=1", f"--run.output_dir={tmp_path / str(run)}",
+            ) == 0
+            assert len(draws) == run + 1
 
     def test_plot_emitted(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,12 @@
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decentrack import models
 from decentrack.models import (
     Batch,
     SyntheticProblemSpec,
@@ -273,3 +279,150 @@ class TestSpecValidation:
         b = Batch(indices=None, substream=(0, 0, 0))
         with pytest.raises(Exception):
             b.substream = (1, 1, 1)
+
+
+def drawn_arrays(prob):
+    """The arrays a problem holds from its spec's draw, by name."""
+    if prob.kind == "quadratic":
+        return {"b": prob.b, "x_star": prob.x_star}
+    arrays = {
+        name: getattr(prob, name)
+        for name in ("features", "labels", "_means", "test_features", "test_labels")
+    }
+    arrays.update({f"assignments[{i}]": a for i, a in enumerate(prob.assignments)})
+    return arrays
+
+
+def snapshot(prob):
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in drawn_arrays(prob).items()}
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("kind", ["quadratic", "softmax", "mlp"])
+    def test_equal_specs_share_read_only_arrays(self, kind):
+        if kind == "quadratic":
+            spec = quad_spec(seed=41)
+        else:
+            spec = classification_spec(kind, seed=41)
+        first, second = make_problem(spec), make_problem(spec)
+        ours = drawn_arrays(first)
+        for name, array in drawn_arrays(second).items():
+            assert array is ours[name], name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_assigned_problem_shares_the_dataset(self):
+        spec = classification_spec("softmax", seed=42)
+        base = make_problem(spec)
+        reversed_split = list(reversed(base.assignments))
+        problem = make_problem(spec, assignments=reversed_split)
+        assert problem.features is base.features and problem.labels is base.labels
+        assert problem.assignments[0] is base.assignments[-1]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "softmax"])
+    def test_entry_goes_with_the_last_problem(self, kind):
+        spec = quad_spec(seed=43) if kind == "quadratic" else classification_spec(kind, seed=43)
+        gc.collect()
+        assert spec not in models._DRAWS
+        first = make_problem(spec)
+        drawn = snapshot(first)
+        second = make_problem(spec)
+        del first
+        gc.collect()
+        assert spec in models._DRAWS
+        del second
+        gc.collect()
+        assert spec not in models._DRAWS
+        assert snapshot(make_problem(spec)) == drawn
+
+    @pytest.mark.parametrize(
+        "change", [{"seed": 1}, {"n_samples": 401}, {"separation": 2.0}, {"n_agents": 5}]
+    )
+    def test_differing_specs_draw_their_own(self, change):
+        spec = classification_spec("softmax", seed=44)
+        other = dataclasses.replace(spec, **change)
+        a, b = make_problem(spec), make_problem(other)
+        assert models._DRAWS[spec] is not models._DRAWS[other]
+        mine = drawn_arrays(a)
+        for name, array in drawn_arrays(b).items():
+            assert array is not mine.get(name), name
+        if change == {"n_agents": 5}:
+            # the same dataset, split over one more agent
+            assert np.array_equal(a.features, b.features)
+            assert len(a.assignments) == 4 and len(b.assignments) == 5
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (quad_spec(seed=45, zeta=1e200), "overflows the optima"),
+            (classification_spec("softmax", seed=45, separation=1e308), "overflows the class means"),
+        ],
+    )
+    def test_overflow_raises_and_registers_nothing(self, spec, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                make_problem(spec)
+            assert spec not in models._DRAWS
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "softmax", "mlp"]),
+        seed=st.integers(0, 2**64 - 1),
+        d=st.integers(1, 5),
+        n_agents=st.integers(2, 6),
+        n_classes=st.integers(2, 4),
+        n_samples=st.integers(12, 60),
+        zeta=st.floats(0.0, 10.0),
+        separation=st.floats(-5.0, 5.0),
+    )
+    def test_shared_build_equals_a_lone_build(
+        self, kind, seed, d, n_agents, n_classes, n_samples, zeta, separation
+    ):
+        spec = SyntheticProblemSpec(
+            kind=kind, d=d, n_agents=n_agents, zeta=zeta, seed=seed, n_classes=n_classes,
+            n_samples=n_samples, separation=separation,
+        )
+        gc.collect()
+        assert spec not in models._DRAWS
+        alone = snapshot(make_problem(spec))
+        gc.collect()
+        twin = make_problem(spec)
+        shared = make_problem(spec)
+        assert shared._draw is twin._draw
+        assert snapshot(shared) == alone
+
+
+class TestAssignmentValidation:
+    """Every assignment is a 1-D integer array of indices in [0, n_samples)."""
+
+    SPEC = classification_spec("softmax", n_agents=2, n_samples=20, seed=46)
+
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_valid_assignments_accepted(self, kind):
+        spec = dataclasses.replace(self.SPEC, kind=kind)
+        problem = make_problem(spec, assignments=[np.arange(10), np.arange(10, 20, dtype=np.uint8)])
+        assert [len(a) for a in problem.assignments] == [10, 10]
+
+    def test_negative_index_rejected(self):
+        # -1 would wrap to the last sample
+        with pytest.raises(ValueError, match=r"agent 1 is assigned sample indices outside \[0, 20\)"):
+            make_problem(self.SPEC, assignments=[np.arange(10), np.array([10, -1])])
+
+    def test_float_indices_rejected(self):
+        # the oracle's index table would truncate 0.5 to 0
+        with pytest.raises(ValueError, match="agent 0's assignment must be a 1-D integer array"):
+            make_problem(self.SPEC, assignments=[np.array([0.5, 1.0]), np.arange(2, 20)])
+
+    def test_index_past_the_samples_rejected(self):
+        # raised at construction, not at the first oracle call
+        with pytest.raises(ValueError, match=r"agent 1 is assigned sample indices outside \[0, 20\)"):
+            make_problem(self.SPEC, assignments=[np.arange(10), np.array([11, 25])])
+
+    def test_two_dimensional_assignment_rejected(self):
+        with pytest.raises(ValueError, match="agent 1's assignment must be a 1-D"):
+            make_problem(self.SPEC, assignments=[np.arange(10), np.arange(10, 20).reshape(2, 5)])
+
+    def test_one_assignment_per_agent(self):
+        with pytest.raises(ValueError, match="one assignment per agent"):
+            make_problem(self.SPEC, assignments=[np.arange(20)])
