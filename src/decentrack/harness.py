@@ -88,11 +88,14 @@ class MetricTrace:
 def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     """(1/n) * squared Frobenius distance of the rows from their mean; einsum
     adds the rows in mean's order, bit for bit, only on C-ordered stacks, d >= 2.
+    A 1-D X holds n agents of dimension 1, as ``W.mix`` reads it.
 
     ``out``, an array of X's 2-D shape other than X, receives the centred
     rows instead of a new array.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     n, d = X.shape
     mean = np.einsum("ij->j", X) / n if d > 1 and X.flags.c_contiguous else X.mean(axis=0)
     centered = np.subtract(X, mean, out=out)
@@ -255,14 +258,16 @@ def run_training(
     finals = [tr.final_row() for tr in traces if not tr.divergent]
     finals_loss = [r.avg_model_loss for r in finals]
     finals_acc = [r.avg_model_accuracy for r in finals if r.avg_model_accuracy is not None]
-    summary = {
-        "seeds": list(seeds),
-        "divergent": [tr.divergent for tr in traces],
-        "final_loss_mean": float(np.mean(finals_loss)) if finals_loss else math.nan,
-        "final_loss_std": float(np.std(finals_loss)) if finals_loss else math.nan,
-        "final_accuracy_mean": float(np.mean(finals_acc)) if finals_acc else None,
-        "final_accuracy_std": float(np.std(finals_acc)) if finals_acc else None,
-    }
+    # a final loss that overflowed is in the trace; its statistics are too
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = {
+            "seeds": list(seeds),
+            "divergent": [tr.divergent for tr in traces],
+            "final_loss_mean": float(np.mean(finals_loss)) if finals_loss else math.nan,
+            "final_loss_std": float(np.std(finals_loss)) if finals_loss else math.nan,
+            "final_accuracy_mean": float(np.mean(finals_acc)) if finals_acc else None,
+            "final_accuracy_std": float(np.std(finals_acc)) if finals_acc else None,
+        }
     return TrainingResult(traces=traces, summary=summary)
 
 

@@ -28,6 +28,9 @@ raw words to indices with numpy's own algorithm for ``Generator.integers``
 (``_lemire_map``); the rare row whose draws hit a rejection is drawn again
 by numpy itself.  Quadratic noise costs only numpy's own calls: one PCG64
 build, one ``Generator`` and one ziggurat ``standard_normal`` per agent.
+Neither classification oracle loops over agents: softmax picks the true
+classes of its class-major stack through one flat index, and the MLP stacks
+the agents of each batch size, bit for bit the per-agent reference.
 
 A problem's data (the quadratic's optima; a classification dataset, its
 test set and default split) is drawn once per spec: a problem built while
@@ -521,8 +524,8 @@ class _ClassificationDraw:
 class _IndexTable:
     """Agent i's batch is ``table[i, :counts[i]]``; ``mask`` marks those entries.
 
-    ``agent`` and ``slot`` are the table's open grid, for gathering one
-    entry per table cell.
+    ``cell`` numbers the cells, for a flat pick from a class-major (classes,
+    *table.shape) stack; ``groups`` pairs each batch size m with its agents.
     """
 
     def __init__(self, counts: np.ndarray):
@@ -530,7 +533,8 @@ class _IndexTable:
         self.counts = counts
         self.table = np.zeros((n, width), dtype=np.intp)
         self.mask = np.arange(width) < counts[:, None]
-        self.agent, self.slot = np.ogrid[:n, :width]
+        self.cell = np.arange(n * width).reshape(n, width)
+        self.groups = [(np.flatnonzero(counts == m), int(m)) for m in np.unique(counts)]
 
 
 class _ClassificationProblem(Problem):
@@ -619,11 +623,7 @@ class _ClassificationProblem(Problem):
 
     def _stacked_loss_grad(self, batches, X):
         """Per-agent (losses, grads) on the batches ``table[i, :counts[i]]``."""
-        pairs = [
-            self._batch_loss_grad(self.features[row[:m]], self.labels[row[:m]], x)
-            for row, m, x in zip(batches.table, batches.counts, X)
-        ]
-        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
+        raise NotImplementedError
 
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
@@ -641,7 +641,8 @@ class _ClassificationProblem(Problem):
         if len(self.test_labels) == 0:
             raise ValueError("empty test set")
         logits = self._class_logits(self.test_features.T, params)
-        loss = _mean_nll(_softmax(logits, axis=0).T, self.test_labels)
+        probs, m = _softmax(logits, axis=0).reshape(-1), len(self.test_labels)
+        loss = float(-np.mean(np.log(probs[self.test_labels * m + np.arange(m)] + 1e-300)))
         return loss, float(np.mean(np.argmax(logits, axis=0) == self.test_labels))
 
 
@@ -683,17 +684,19 @@ class SoftmaxProblem(_ClassificationProblem):
     def _stacked_loss_grad(self, batches, X):
         # class-leading (classes, agents, batch) stacks: the max and the sum
         # over classes run elementwise across contiguous k blocks; padding
-        # entries of the table are masked out of the loss and the gradient
+        # entries of the table are masked out of the loss and the gradient;
+        # the true classes are read and written once, through a flat index
         n = len(X)
         k, d = self.spec.n_classes, self.spec.d
-        counts, mask, agent, slot = batches.counts, batches.mask, batches.agent, batches.slot
-        feats = self.features[batches.table]
-        labels = self.labels[batches.table]
+        table, counts, mask, cell = batches.table, batches.counts, batches.mask, batches.cell
+        feats = np.take(self.features, table, axis=0)
+        true = np.take(self.labels, table) * table.size + cell
         logits = X.reshape(n, k, d) @ feats.transpose(0, 2, 1)
         probs = _softmax(np.ascontiguousarray(logits.transpose(1, 0, 2)), axis=0)
-        log_true = np.log(probs[labels, agent, slot] + 1e-300)
-        losses = -np.sum(log_true * mask, axis=1) / counts
-        probs[labels, agent, slot] -= 1.0
+        flat = probs.reshape(-1)
+        picked = flat[true]
+        losses = -np.sum(np.log(picked + 1e-300) * mask, axis=1) / counts
+        flat[true] = picked - 1.0
         probs *= mask
         grads = (probs.transpose(1, 0, 2) @ feats) / counts[:, None, None]
         return losses, grads.reshape(n, k * d)
@@ -712,8 +715,11 @@ class MlpProblem(_ClassificationProblem):
         self.dim = self._ends[-1]
 
     def _unpack(self, params):
-        starts = [0, *self._ends[:-1]]
-        return [params[a:b].reshape(s) for a, b, s in zip(starts, self._ends, self._shapes)]
+        """(w1, b1, w2, b2) of ``params``, with its leading axes leading each."""
+        starts, lead = [0, *self._ends[:-1]], params.shape[:-1]
+        return [
+            params[..., a:b].reshape(lead + s) for a, b, s in zip(starts, self._ends, self._shapes)
+        ]
 
     def _class_logits(self, cols, params):
         w1, b1, w2, b2 = self._unpack(params)
@@ -735,6 +741,30 @@ class MlpProblem(_ClassificationProblem):
         dw1 = dz1.T @ feats
         db1 = dz1.sum(axis=0)
         return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+    def _stacked_loss_grad(self, batches, X):
+        # _batch_loss_grad on an agent-major (g, m, .) stack of the g agents
+        # of each batch size m: every matmul makes the per-agent product's
+        # BLAS call once per agent, on the same shape and strides, so every
+        # result is the reference's bit for bit
+        losses, grads = np.empty(len(X)), np.empty_like(X)
+        for agents, m in batches.groups:
+            rows = batches.table[agents, :m]
+            feats, labels = np.take(self.features, rows, axis=0), np.take(self.labels, rows)
+            w1, b1, w2, b2 = self._unpack(X[agents])
+            a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + b1[:, None])
+            dz2 = _softmax(a1 @ w2.transpose(0, 2, 1) + b2[:, None])
+            flat, g = dz2.reshape(-1), len(agents)
+            true = np.arange(0, flat.size, dz2.shape[-1]).reshape(g, m) + labels
+            picked = flat[true]
+            losses[agents] = -np.mean(np.log(picked + 1e-300), axis=1)
+            flat[true] = picked - 1.0
+            dz2 /= m
+            dz1 = (dz2 @ w2) * (1.0 - a1 * a1)
+            dw1, dw2 = dz1.transpose(0, 2, 1) @ feats, dz2.transpose(0, 2, 1) @ a1
+            parts = dw1.reshape(g, -1), dz1.sum(axis=1), dw2.reshape(g, -1), dz2.sum(axis=1)
+            grads[agents] = np.concatenate(parts, axis=1)
+        return losses, grads
 
 
 def make_quadratic(spec: SyntheticProblemSpec) -> QuadraticProblem:

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -167,6 +168,20 @@ class TestTrainSubcommand:
                 "--run.rounds=2", "--run.seeds=1", f"--run.output_dir={tmp_path / str(run)}",
             ) == 0
             assert len(draws) == run + 1
+
+    def test_overflowing_losses_warn_nothing(self, tmp_path):
+        # X stays finite while the losses overflow, so the final losses are
+        # inf; their statistics raise no warning, which the suite would turn
+        # into an error.  The exit code of such a run is not asserted here
+        out = tmp_path / "out"
+        run_cli(
+            "train", "--problem.kind=quadratic", "--problem.zeta=1", "--algorithm.kind=GUT",
+            "--algorithm.eta=2.5", "--algorithm.mu=0.9", "--run.rounds=1000",
+            "--run.decay=false", f"--run.output_dir={out}",
+        )
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["final_loss_mean"] == math.inf
+        assert math.isnan(summary["final_loss_std"])
 
     def test_plot_emitted(self, tmp_path):
         out = tmp_path / "out"

@@ -37,7 +37,7 @@ class TestConsensusError:
         [
             np.random.default_rng(1).standard_normal((1024, 32)),
             np.random.default_rng(2).standard_normal((7, 5)) * 1e300,  # squares overflow
-            np.random.default_rng(3).standard_normal(9),  # 1-D: one agent
+            np.random.default_rng(3).standard_normal(9),  # 1-D: nine agents of dimension 1
             np.array([[1.0, np.inf], [2.0, 3.0]]),
             np.array([[1.0, np.nan], [2.0, 3.0]]),
         ],
@@ -45,13 +45,19 @@ class TestConsensusError:
     def test_matches_two_temporary_form(self, X):
         # the in-place square sums the same products in the same order
         before = X.copy()
-        X2 = np.atleast_2d(X)
+        X2 = X[:, None] if X.ndim == 1 else X
         with np.errstate(over="ignore", invalid="ignore"):
             centered = X2 - X2.mean(axis=0)
             expected = float(np.sum(centered * centered) / X2.shape[0])
             got = consensus_error(X)
         assert got == expected or (np.isnan(got) and np.isnan(expected))
         assert np.array_equal(X, before, equal_nan=True)  # the input is not squared
+
+    def test_1d_is_agents_of_dimension_1(self):
+        # W.mix reads an (n,) array as n agents, so consensus_error does too
+        assert consensus_error(np.array([0.0, 1.0, 2.0, 3.0])) == 1.25
+        for x in (np.array([0.0, 1.0, 2.0, 3.0]), np.arange(7.0) ** 3):
+            assert consensus_error(x) == consensus_error(x[:, None])
 
 
 class TestConsensusErrorBuffer:

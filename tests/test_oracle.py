@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from decentrack import harness, models
 from decentrack.algorithms import AlgorithmSpec, init_states, run_round
 from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
+from decentrack.partition import dirichlet_partition
 from decentrack.topology import build_topology
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**64 + 11, 2**100 + 5]
@@ -425,6 +426,104 @@ class TestClassMajorSoftmaxOracle:
             ref_losses, ref_G = reference_oracle(problem, batch, 4)(X, rnd)
             assert_rel_close(G, ref_G, 1e-12)
             assert_rel_close(losses, ref_losses, 1e-12)
+
+
+def fancy_index_softmax(problem, batches, X):
+    """The stacked softmax oracle gathering with ``features[table]`` and picking
+    the true classes with ``probs[labels, agent, slot]``, the reference of the
+    flat pick."""
+    n = len(X)
+    k, d = problem.spec.n_classes, problem.spec.d
+    counts, mask = batches.counts, batches.mask
+    agent, slot = np.ogrid[:n, : batches.table.shape[1]]
+    feats = problem.features[batches.table]
+    labels = problem.labels[batches.table]
+    logits = X.reshape(n, k, d) @ feats.transpose(0, 2, 1)
+    probs = models._softmax(np.ascontiguousarray(logits.transpose(1, 0, 2)), axis=0)
+    log_true = np.log(probs[labels, agent, slot] + 1e-300)
+    losses = -np.sum(log_true * mask, axis=1) / counts
+    probs[labels, agent, slot] -= 1.0
+    probs *= mask
+    grads = (probs.transpose(1, 0, 2) @ feats) / counts[:, None, None]
+    return losses, grads.reshape(n, k * d)
+
+
+def transposed_pick_loss(problem, params):
+    """``evaluate``'s test loss with the true classes picked from the transposed probabilities."""
+    logits = problem._class_logits(problem.test_features.T, params)
+    return models._mean_nll(models._softmax(logits, axis=0).T, problem.test_labels)
+
+
+def drawn_batch_and_params(problem, sizes, data):
+    """A batch size (None or up to one above the largest local set) and
+    parameters at unit scale or at 30x, where the softmax saturates."""
+    batch = data.draw(st.one_of(st.none(), st.integers(1, max(sizes) + 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1.0, 30.0]))
+    return batch, scale * rng.standard_normal((problem.n_agents, problem.dim))
+
+
+class TestStackedClassificationOracles:
+    """Both classification oracles are stacked and equal their references bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=problems(kinds=("softmax",)),
+        seed=st.integers(0, 2**70),
+        rnd=st.integers(0, 2**33),
+        data=st.data(),
+    )
+    def test_softmax_flat_pick_is_fancy_index_bit_for_bit(self, case, seed, rnd, data):
+        # batches above the smallest local set leave padded table cells
+        problem, sizes = case
+        batch, X = drawn_batch_and_params(problem, sizes, data)
+        seen = []
+        stacked = problem._stacked_loss_grad
+        problem._stacked_loss_grad = lambda b, X: seen.append(b) or stacked(b, X)
+        losses, G = make_oracle(problem, batch, seed=seed)(X, rnd)
+        ref_losses, ref_G = fancy_index_softmax(problem, seen[0], X)
+        assert np.array_equal(losses, ref_losses) and np.array_equal(G, ref_G)
+        assert problem.evaluate(X[0])[0] == transposed_pick_loss(problem, X[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=problems(kinds=("mlp",)),
+        seed=st.integers(0, 2**70),
+        rnd=st.integers(0, 2**33),
+        data=st.data(),
+    )
+    def test_mlp_losses_and_grads_are_per_agent_bit_for_bit(self, case, seed, rnd, data):
+        # a batch above the smallest local set gives agents fewer samples
+        # than the batch, in groups of their own sizes
+        problem, sizes = case
+        batch, X = drawn_batch_and_params(problem, sizes, data)
+        losses, G = make_oracle(problem, batch, seed=seed)(X, rnd)
+        ref_losses, ref_G = reference_oracle(problem, batch, seed)(X, rnd)
+        assert np.array_equal(losses, ref_losses) and np.array_equal(G, ref_G)
+        assert problem.evaluate(X[0])[0] == transposed_pick_loss(problem, X[0])
+
+    @pytest.mark.parametrize("batch", [32, None])
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_no_per_agent_call_on_an_even_partition(self, kind, batch):
+        # alpha = 100 gives every agent more samples than the batch, so one
+        # stack serves all of them; the full batch leaves most agents alone
+        # in their size, and a stack of one serves each of them
+        spec = SyntheticProblemSpec(
+            kind=kind, d=20, n_agents=32, n_classes=10, n_samples=8000, hidden=16, seed=1
+        )
+        part = dirichlet_partition(make_problem(spec).labels, 32, alpha=100.0, seed=2)
+        problem = make_problem(spec, assignments=part.assignments)
+        assert min(len(a) for a in problem.assignments) > 32
+        calls = []
+        per_agent = problem._batch_loss_grad
+        problem._batch_loss_grad = lambda *args: calls.append(1) or per_agent(*args)
+        oracle = make_oracle(problem, batch, seed=3)
+        X = 0.1 * np.random.default_rng(4).standard_normal((32, problem.dim))
+        for rnd in range(20):
+            oracle(X, rnd)
+        assert calls == []
+        problem.loss_and_grad(0, X[0], problem.draw_batch(0, 0, 32, seed=3))
+        assert calls == [1]  # the counter sees the per-agent path
 
 
 def seed_words_for(bit_gen: np.random.PCG64) -> np.ndarray:
