@@ -194,6 +194,20 @@ def _gt(st, W, G, eta, mu, beta):
     return dict(X=W.mix(st.X - eta * Y), Y=Y, D=G)
 
 
+def _tracked(st, W, G, eta, mu, sent, scale=1.0):
+    """delta = g - (s - x)/eta and mc = mu*[W sent - scale*(s - x)/eta - delta_prev]
+    for the vector sent (y_prev for GUT, m for the momentum kinds), in place in
+    fresh arrays with the expressions' operations in their order, so their roundings."""
+    correction = np.subtract(st.S, st.X)
+    scaled = scale * correction / eta if scale != 1.0 else None
+    correction /= eta
+    mc = W.mix(sent)
+    mc -= correction if scaled is None else scaled
+    mc -= st.D
+    mc *= mu
+    return np.subtract(G, correction, out=correction), mc
+
+
 def _around_mix(st, W, G, eta, delta, mc):
     """y = delta + mc, and x - eta*y rearranged around the mixed point as
     s - eta*(g + mc), which is exactly W x - eta g when mc = 0.
@@ -208,19 +222,7 @@ def _around_mix(st, W, G, eta, delta, mc):
 
 
 def _gut(st, W, G, eta, mu, beta):
-    """y = delta + mu*[W y_prev - (s - x)/eta - delta_prev], delta = g - (s - x)/eta.
-
-    In place in the arrays the round returns: the same operations in the
-    same order as the expressions above, so the same roundings.
-    """
-    correction = np.subtract(st.S, st.X)
-    correction /= eta
-    mc = W.mix(st.Y)
-    mc -= correction
-    mc -= st.D
-    mc *= mu
-    delta = np.subtract(G, correction, out=correction)
-    return _around_mix(st, W, G, eta, delta, mc)
+    return _around_mix(st, W, G, eta, *_tracked(st, W, G, eta, mu, st.Y))
 
 
 def _gut_matrix(st, W, G, eta, mu, beta):
@@ -231,11 +233,22 @@ def _gut_matrix(st, W, G, eta, mu, beta):
     return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
 
 
+def tracked_bracket(S, Sp, X, Xp):
+    """2(S - Sp) - X + Xp in a fresh array, where S = W X and Sp = W Xp: the
+    tracked correction W y_prev - (W - I)(Xp - X) of a unit step, with no product."""
+    out = np.subtract(S, Sp)
+    out *= 2.0
+    out -= X
+    out += Xp
+    return out
+
+
 def _gut_bias(st, W, G, eta, mu, beta):
-    X = st.X
+    """X' = W X - eta*(G + mu*B); W(X' - X) is S' - S, so one product."""
     Xn = st.S - eta * (G + mu * st.B)
-    Bn = -((2.0 * W.mix(Xn - X) - (Xn - X)) + eta * G) / eta
-    return dict(X=Xn, S=W.mix(Xn), Y=(X - Xn) / eta, D=G - (st.S - X) / eta, B=Bn)
+    Sn = W.mix(Xn)
+    Bn = -(tracked_bracket(Sn, st.S, Xn, st.X) + eta * G) / eta
+    return dict(X=Xn, S=Sn, B=Bn)
 
 
 def _gut_memeff(st, W, G, eta, mu, beta):
@@ -246,37 +259,24 @@ def _gut_memeff(st, W, G, eta, mu, beta):
     return dict(X=st.X - eta * Y, S=st.S - eta * W.mix(Y), Y=Y, D=delta)
 
 
-def _momentum_parts(st, W, G, eta, mu, scale=1.0):
-    """delta, y and the step x - eta*y of the tracked update whose
-    correction mixes the momentum buffer, the vector these rules send."""
-    disp = st.S - st.X
-    correction = disp / eta
-    delta = G - correction
-    if scale != 1.0:
-        correction = scale * disp / eta
-    mc = mu * (W.mix(st.M) - correction - st.D)
-    return delta, delta + mc, st.S - eta * (G + mc)
-
-
-def _gutm(st, W, G, eta, mu, beta, nesterov, scale=1.0):
-    """Heavy-ball on the tracked update; Nesterov applies the new buffer."""
-    delta, Y, step = _momentum_parts(st, W, G, eta, mu, scale)
+def _gutm(st, W, G, eta, mu, beta, nesterov, scaled=False):
+    """Heavy-ball on the tracked update; Nesterov applies the new buffer, and
+    ``scaled`` (QG-GUTm-impl) puts (1 + beta)/eta on the displacement correction."""
+    delta, mc = _tracked(st, W, G, eta, mu, st.M, 1.0 + beta if scaled else 1.0)
+    Y = delta + mc
     M = beta * st.M + Y
-    Xn = step - eta * beta * (M if nesterov else st.M)
+    Xn = st.S - eta * (G + mc) - eta * beta * (M if nesterov else st.M)
     return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
 
 
 def _qg_gutm(st, W, G, eta, mu, beta, nesterov):
     """Exponential buffer over the tracked update; Nesterov applies the new buffer."""
-    delta, Y, step = _momentum_parts(st, W, G, eta, mu)
+    delta, mc = _tracked(st, W, G, eta, mu, st.M)
+    step = st.S - eta * (G + mc)
+    Y = delta + mc
     M = beta * st.M + (1.0 - beta) * Y
     Xn = beta * st.X + (1.0 - beta) * step - eta * beta * (M if nesterov else st.M)
     return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
-
-
-def _qg_gutm_impl(st, W, G, eta, mu, beta):
-    """GUTm with a (1 + beta)/eta scale on the displacement correction."""
-    return _gutm(st, W, G, eta, mu, beta, nesterov=False, scale=1.0 + beta)
 
 
 def _rule_a(st, W, G, eta, mu, beta):
@@ -312,7 +312,7 @@ RULES = {
     "GUTmN": Rule("S", 1, partial(_gutm, nesterov=True)),
     "QG-GUTm": Rule("S", 1, partial(_qg_gutm, nesterov=False)),
     "QG-GUTmN": Rule("S", 1, partial(_qg_gutm, nesterov=True)),
-    "QG-GUTm-impl": Rule("S", 1, _qg_gutm_impl),
+    "QG-GUTm-impl": Rule("S", 1, partial(_gutm, nesterov=False, scaled=True)),
     "GUT-matrix": Rule("S", 1, _gut_matrix),
     "GUT-bias": Rule("S", 1, _gut_bias),
     "GUT-memeff": Rule("S", 1, _gut_memeff),

@@ -61,7 +61,7 @@ KEYS: dict[str, tuple] = {
     "topology.kind": (str, "ring"),
     "topology.n": (int, 16),
     "topology.grid": (_parse_grid, None),
-    "partition.alpha": (float, 0.01),
+    "partition.alpha": (float, 0.1),
     "partition.seed": (int, 0),
     "partition.min_per_agent": (int, 1),
     "problem.kind": (str, "softmax"),

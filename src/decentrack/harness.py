@@ -14,7 +14,7 @@ import numpy as np
 
 from . import models
 from .algorithms import GUT_FAMILY, AlgorithmSpec, DivergenceError, check_mu_beta, check_start
-from .algorithms import comm_cost, init_states, run_round
+from .algorithms import comm_cost, init_states, run_round, tracked_bracket
 from .topology import MixingMatrix
 
 __all__ = [
@@ -115,13 +115,13 @@ def run_consensus(
     """Gradient-free averaging with tracked updates and/or momentum.
 
     ``gut``: X' = X + Y with Y = (W-I)X + mu*[W Y_prev - (W-I)(X_prev - X)].
-    ``qg-gutm`` additionally filters the applied update through a
-    momentum buffer built from realized displacements.  ``gossip`` and
-    ``qg-gossip`` are the mu = 0 special cases.  The update applied last
-    round is X - X_prev, so W Y_prev = W X - W X_prev and the bracket is
-    2 (W X - W X_prev) - (X - X_prev): carrying X_prev and W X_prev over
-    leaves one product with W per round, the one d-vector each agent
-    sends to each neighbor.
+    ``qg-gutm`` additionally filters the applied update through a momentum
+    buffer built from realized displacements; ``gossip`` and ``qg-gossip``
+    are the mu = 0 cases.  ``gossip`` and ``gut`` are DSGD and GUT-bias at
+    eta = 1 with a zero gradient, bit for bit: the bracket is GUT-bias's
+    ``tracked_bracket``.  The loop stays apart from ``run_round`` because a
+    rule round mixes its new iterate at its end (T + 1 products for T rounds,
+    here T) and no rule has the momentum filter.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")
@@ -149,11 +149,8 @@ def run_consensus(
             WX = W.mix(X)
             if WXp is None:
                 WXp = WX
-            # Xn = W X + mu * bracket, with the bracket built in place
-            Xn = np.subtract(WX, WXp)
-            Xn *= 2.0
-            Xn -= X
-            Xn += Xp
+            # Xn = W X + mu * bracket: GUT-bias's arithmetic at eta = 1, G = 0
+            Xn = tracked_bracket(WX, WXp, X, Xp)
             Xn *= mu
             Xn += WX
             if use_momentum:

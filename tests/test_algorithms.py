@@ -4,6 +4,7 @@ import pytest
 from decentrack.algorithms import (
     GUT_FAMILY,
     KINDS,
+    RULES,
     AlgorithmSpec,
     DivergenceError,
     comm_cost,
@@ -394,6 +395,46 @@ class TestInPlaceRounds:
             state = run_round(state, W, spec, oracle)
             for name, array in expected.items():
                 assert getattr(state, name).tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize("n", [8, 256])  # dense and gather mixing
+    @pytest.mark.parametrize("kind", ["GUTm", "GUTmN", "QG-GUTm", "QG-GUTmN", "QG-GUTm-impl"])
+    def test_momentum_rounds_leave_their_start_state_untouched(self, kind, n):
+        W = build_topology("ring", n)
+        rng = np.random.default_rng(16)
+        oracle = quad_oracle(rng.standard_normal((n, 5)))
+        spec = AlgorithmSpec(kind=kind, eta=0.05, mu=0.15, beta=0.9)
+        state = init_states(rng.standard_normal((n, 5)), W)
+        for _ in range(12):
+            for name in ("X", "S", "Y", "D", "M", "B", "Xp"):
+                getattr(state, name).setflags(write=False)
+            state = run_round(state, W, spec, oracle)
+
+
+class TestMixCount:
+    """Each rule makes one product with W per vector its agents send."""
+
+    @pytest.mark.parametrize("n", [16, 256])  # dense and gather mixing
+    @pytest.mark.parametrize(
+        "kind", ["DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT", "GUT-bias"]
+    )
+    def test_mix_calls_per_round_equal_sends(self, kind, n):
+        W = build_topology("ring", n)
+        mix, calls = W.mix, []
+
+        def counted(X):
+            calls.append(X.shape)
+            return mix(X)
+
+        W.mix = counted
+        rng = np.random.default_rng(17)
+        oracle = quad_oracle(rng.standard_normal((n, 4)))
+        spec = AlgorithmSpec(kind=kind, eta=0.05, mu=0.15, beta=0.9)
+        state = init_states(rng.standard_normal((n, 4)), W)
+        for t in range(20):
+            calls.clear()
+            state = run_round(state, W, spec, oracle)
+            # GT's first y is the local gradient, which nothing mixes
+            assert len(calls) == (1 if kind == "GT" and t == 0 else RULES[kind].sends), t
 
 
 class TestDeterminism:

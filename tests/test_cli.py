@@ -216,7 +216,8 @@ class TestTrainSubcommand:
 
     def test_unsatisfiable_partition_names_the_fix(self, tmp_path, capsys):
         assert run_cli(
-            "train", "--topology.kind=dyck", "--topology.n=32", f"--run.output_dir={tmp_path}"
+            "train", "--topology.kind=dyck", "--topology.n=32", "--partition.alpha=0.01",
+            f"--run.output_dir={tmp_path}",
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: could not satisfy min_per_agent=1")

@@ -154,6 +154,21 @@ class TestZeroGradientTraining:
         for a, b in zip(self.consensus(W, X0, "gut", 0.15), self.rounds(W, X0, "GUT-bias", 0.15)):
             assert np.max(np.abs(a - b)) <= tol
 
+    # dyck-32's tracked recursion is stable only below mu ~ 0.125
+    @pytest.mark.parametrize(
+        "graph,mu",
+        [(g, mu) for g in ("ring16", "ring256", "torus3x5") for mu in (0.0, 0.1, 0.19)]
+        + [("dyck32", 0.0), ("dyck32", 0.1)],
+    )
+    @pytest.mark.parametrize("method,kind", [("gossip", "DSGD"), ("gut", "GUT-bias")])
+    def test_consensus_is_the_rule_table_bit_for_bit(self, graph, mu, method, kind):
+        W = self.TOPOLOGIES[graph]()
+        X0 = np.random.default_rng(3).standard_normal((W.n, 8))
+        got, want = self.consensus(W, X0, method, mu, T=200), self.rounds(W, X0, kind, mu, T=200)
+        assert len(got) == len(want) == 200
+        for t, (a, b) in enumerate(zip(got, want), start=1):
+            assert np.array_equal(a, b), t
+
 
 class TestGather:
     @pytest.mark.parametrize("name", sorted(gather_graphs()))
