@@ -292,12 +292,14 @@ def _rule_b(st, W, G, eta, mu, beta):
 
 class Rule(NamedTuple):
     """How a kind runs: the State field its gradient is taken at (``S``,
-    the mixed point, or ``X``), the vectors each agent sends per round
-    and the round's arithmetic."""
+    the mixed point, or ``X``), the vectors each agent sends per round,
+    the round's arithmetic and, where it differs, the vectors sent in
+    round 0."""
 
     at: str
     sends: int
     step: Callable
+    first_sends: int | None = None
 
 
 RULES = {
@@ -306,7 +308,7 @@ RULES = {
     "DSGDmN": Rule("X", 1, partial(_dsgdm, nesterov=True)),
     "QG-DSGDm": Rule("X", 1, partial(_qg_dsgdm, nesterov=False)),
     "QG-DSGDmN": Rule("X", 1, partial(_qg_dsgdm, nesterov=True)),
-    "GT": Rule("X", 2, _gt),
+    "GT": Rule("X", 2, _gt, first_sends=1),  # y starts at the local gradient
     "GUT": Rule("S", 1, _gut),
     "GUTm": Rule("S", 1, partial(_gutm, nesterov=False)),
     "GUTmN": Rule("S", 1, partial(_gutm, nesterov=True)),
@@ -366,11 +368,16 @@ def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> Hyp
     )
 
 
-def comm_cost(spec: AlgorithmSpec, d: int, W: MixingMatrix) -> int | float:
-    """Scalars transmitted per agent per round: mean degree * d * vectors sent.
+def comm_cost(
+    spec: AlgorithmSpec, d: int, W: MixingMatrix, first_round: bool = False
+) -> int | float:
+    """Scalars transmitted per agent per round: mean degree * d * vectors sent,
+    in round 0 when ``first_round`` is set, else in every later round.
 
     An int when that is whole, as on every regular graph; otherwise the
     float nearest to it.
     """
-    total = int(W.degrees.sum()) * d * RULES[spec.kind].sends
+    rule = RULES[spec.kind]
+    sends = rule.first_sends if first_round and rule.first_sends is not None else rule.sends
+    total = int(W.degrees.sum()) * d * sends
     return total // W.n if total % W.n == 0 else total / W.n

@@ -7,7 +7,8 @@ Subcommands: ``topology`` (matrix CSV + spectral JSON), ``partition``
 
 Configuration is a flat ``key=value`` file with dotted keys (for example
 ``algorithm.mu=0.9``), overridable by ``--key=value`` flags; flags win.
-Exit codes: 0 success, 1 config error, 2 divergent run, 3 failed
+Exit codes: 0 success, 1 config error, 2 divergent run (X non-finite, or
+a non-finite loss or consensus error in a trace's last row), 3 failed
 equivalence/validation.  All emitted CSV/JSON is a pure function of the
 resolved config, so reruns are byte-identical.
 """
@@ -296,7 +297,7 @@ def _cmd_topology(config: dict, outdir: Path) -> int:
         "lambda2": stats.lambda2,
         "lambdaN": stats.lambda_n,
         "rho": stats.rho,
-        "edges": len(W.edges),
+        "edges": int(W.degrees.sum()) // 2,
         "valid": report.ok,
         "violations": report.violations,
     }
@@ -330,15 +331,19 @@ def _cmd_consensus(config: dict, outdir: Path) -> int:
         T=config["run.rounds"],
     )
     _write(outdir, "consensus_trace.csv", trace.to_csv())
-    _manifest(outdir, config, {"task": "consensus", "divergent": trace.divergent})
+    _manifest(
+        outdir, config,
+        {"task": "consensus", "divergent": trace.divergent, "nonfinite": trace.nonfinite},
+    )
     if config["run.plot"]:
         emit_plot([(config["consensus.method"], trace)], outdir / "consensus.svg")
     final = trace.rows[-1]
     print(
         f"consensus method={config['consensus.method']} rounds={final.round} "
-        f"error={final.consensus_error:.6g} divergent={trace.divergent}"
+        f"error={final.consensus_error:.6g} divergent={trace.divergent} "
+        f"nonfinite={trace.nonfinite}"
     )
-    return 2 if trace.divergent else 0
+    return 2 if trace.divergent or trace.nonfinite else 0
 
 
 def _cmd_train(config: dict, outdir: Path) -> int:
@@ -364,11 +369,13 @@ def _cmd_train(config: dict, outdir: Path) -> int:
             outdir / "train.svg",
         )
     divergent = any(tr.divergent for tr in result.traces)
+    nonfinite = any(tr.nonfinite for tr in result.traces)
     print(
         f"train {spec.kind} rounds={config['run.rounds']} "
-        f"final_loss={result.summary['final_loss_mean']:.6g} divergent={divergent}"
+        f"final_loss={result.summary['final_loss_mean']:.6g} divergent={divergent} "
+        f"nonfinite={nonfinite}"
     )
-    return 2 if divergent else 0
+    return 2 if divergent or nonfinite else 0
 
 
 def _cmd_equivalence(config: dict, outdir: Path) -> int:

@@ -84,6 +84,19 @@ class MetricTrace:
     def final_row(self) -> TraceRow:
         return self.rows[-1]
 
+    @property
+    def nonfinite(self) -> bool:
+        """Whether the last row holds a non-finite consensus error or loss.
+
+        That happens with X finite too, when its squares overflow; a
+        non-finite X is what ``divergent`` flags.
+        """
+        if not self.rows:
+            return False
+        r = self.rows[-1]
+        values = (r.consensus_error, r.mean_loss, r.avg_model_loss)
+        return not all(v is None or math.isfinite(v) for v in values)
+
 
 def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     """(1/n) * squared Frobenius distance of the rows from their mean; einsum
@@ -219,6 +232,8 @@ def run_training(
         spec = dataclasses.replace(spec, eta_schedule=decayed_schedule(spec.eta, T))
     d = problem.dim
     scalars_per_round = comm_cost(spec, d, W)
+    # what round 0 sends less than a later round (GT's first y is local)
+    unsent = scalars_per_round - comm_cost(spec, d, W, first_round=True)
     traces = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -243,7 +258,7 @@ def run_training(
                     consensus_error=consensus_error(states.X, centred),
                     mean_loss=float(np.mean(states.losses)),
                     eta=spec.lr(t),
-                    comm_scalars=scalars_per_round * (t + 1),
+                    comm_scalars=scalars_per_round * (t + 1) - unsent,
                 )
                 if (t + 1) % eval_every == 0 or t == T - 1:
                     loss, acc = problem.evaluate(np.mean(states.X, axis=0))
@@ -260,6 +275,7 @@ def run_training(
         summary = {
             "seeds": list(seeds),
             "divergent": [tr.divergent for tr in traces],
+            "nonfinite": [tr.nonfinite for tr in traces],
             "final_loss_mean": float(np.mean(finals_loss)) if finals_loss else math.nan,
             "final_loss_std": float(np.std(finals_loss)) if finals_loss else math.nan,
             "final_accuracy_mean": float(np.mean(finals_acc)) if finals_acc else None,

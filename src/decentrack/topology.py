@@ -9,7 +9,6 @@ gossip averaging contracts toward consensus.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,28 +59,33 @@ class MixingMatrix:
     """Doubly stochastic gossip weight matrix over ``n`` agents.
 
     ``weights[i, j] != 0`` iff ``{i, j}`` is an edge or ``i == j``;
-    all built-in topologies include a positive self-loop.  A neighbour
-    table is built once from ``edges``: row i of ``peers`` is agent i
-    followed by its neighbours in ascending order, padded with i up to
-    the largest degree.  ``peer_weights`` holds the weights aligned with
-    ``peers``, 0 on padding: taken from ``weights``, or 1 / (1 + max
-    degree) everywhere when ``weights`` is None (the built-in graphs are
-    regular).  The dense ``weights`` is built from the table on first
-    read; once read or assigned it is what ``mix`` reads at call time, so
-    it may be changed or reassigned as long as its nonzero pattern stays
-    that of ``edges``.  The gather keeps one (n, 1 + max degree, *trailing)
-    buffer per trailing shape and dtype, so one matrix must not ``mix`` in
-    two threads at once; it suits sparse graphs.
+    all built-in topologies include a positive self-loop.  The undirected
+    edges come as an (m, 2) integer array or a list of pairs, in any order
+    and either orientation.  A neighbour table is built once from them:
+    row i of ``peers`` is agent i followed by its neighbours in ascending
+    order, padded with i up to the largest degree.  ``peer_weights`` holds
+    the weights aligned with ``peers``, 0 on padding: taken from
+    ``weights``, or 1 / (1 + max degree) everywhere when ``weights`` is
+    None (the built-in graphs are regular).  ``edges``, the sorted list of
+    (min, max) pairs, is read back from the table on first use.  The dense
+    ``weights`` is built from the table on first read; once read or
+    assigned it is what ``mix`` reads at call time, so it may be changed or
+    reassigned as long as its nonzero pattern stays that of ``edges``.  The
+    gather keeps one (n, 1 + max degree, *trailing) buffer per trailing
+    shape and dtype, so one matrix must not ``mix`` in two threads at once;
+    it suits sparse graphs.
     """
 
-    def __init__(self, n: int, weights: np.ndarray | None, edges: list[tuple[int, int]]):
-        self.n, self.edges = n, edges
-        flat = itertools.chain.from_iterable(edges)
-        ends = np.fromiter(flat, dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+    def __init__(
+        self, n: int, weights: np.ndarray | None, edges: np.ndarray | list[tuple[int, int]]
+    ):
+        self.n = n
+        ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        # both directions of every edge as src * n + dst, sorted: rows in
+        # order, each row's neighbours ascending
+        keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+        keys.sort()
+        src, dst = np.divmod(keys, n)
         self.degrees = np.bincount(src, minlength=n)
         width = 1 + int(self.degrees.max(initial=0))
         self.gather = n >= GATHER_MIN_N
@@ -97,7 +101,16 @@ class MixingMatrix:
             self.real / width if weights is None else np.take(weights, self.slots) * self.real
         )
         self._weights: np.ndarray | None = None
+        self._edges: list[tuple[int, int]] | None = None
         self._gathered: dict = {}
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        if self._edges is None:
+            # self slots and padding hold i itself, so this is each edge once
+            i, k = np.nonzero(self.peers > np.arange(self.n)[:, None])
+            self._edges = list(zip(i.tolist(), self.peers[i, k].tolist()))
+        return self._edges
 
     @property
     def weights(self) -> np.ndarray:
@@ -198,12 +211,8 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
         pairs = np.concatenate([np.stack([i, right], 1), np.stack([i, down], 1)])
     else:
         raise ValueError(f"unknown topology kind {kind!r}; expected ring, dyck or torus")
-    # undirected edges as (min, max) pairs in ascending order; the built-in
-    # families have no repeated edge, and np.unique costs ~1.3 MB peak RSS
-    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-    edges = list(map(tuple, np.stack(np.divmod(keys, n), axis=1).tolist()))
     # every built-in graph is regular, so the table's uniform weight is 1 / peers
-    return MixingMatrix(n=n, weights=None, edges=edges)
+    return MixingMatrix(n=n, weights=None, edges=pairs)
 
 
 def as_mixing(weights: np.ndarray) -> MixingMatrix:
@@ -216,7 +225,7 @@ def as_mixing(weights: np.ndarray) -> MixingMatrix:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
     i, j = np.nonzero(np.triu((w != 0) | (w.T != 0), 1))
-    return MixingMatrix(n=w.shape[0], weights=w, edges=list(zip(i.tolist(), j.tolist())))
+    return MixingMatrix(n=w.shape[0], weights=w, edges=np.stack([i, j], axis=1))
 
 
 def spectral_stats(mixing: MixingMatrix) -> SpectralStats:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -79,6 +80,15 @@ class TestTopologySubcommand:
         assert doc["rho"] == pytest.approx(0.0507470, abs=1e-6)
         assert doc["valid"] is True
 
+    @pytest.mark.parametrize(
+        "flags,edges",
+        [(("--topology.n=16",), 16), (("--topology.kind=dyck", "--topology.n=32"), 48),
+         (("--topology.kind=torus", "--topology.n=15", "--topology.grid=3x5"), 30)],
+    )
+    def test_edge_count(self, tmp_path, flags, edges):
+        assert run_cli("topology", *flags, f"--run.output_dir={tmp_path}") == 0
+        assert json.loads((tmp_path / "spectral.json").read_text())["edges"] == edges
+
 
 class TestPartitionSubcommand:
     def test_histogram_and_skew(self, tmp_path, capsys):
@@ -118,6 +128,21 @@ class TestConsensusSubcommand:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["divergent"] is True
+
+    def test_overflowing_error_exits_2(self, tmp_path, capsys):
+        # X stays finite from round 397 to 795 while its squares overflow
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "consensus", "--consensus.method=gut", "--algorithm.mu=0.9",
+                "--topology.n=16", "--consensus.d=32", "--consensus.seed=0",
+                "--run.rounds=500", f"--run.output_dir={out}",
+            )
+        assert code == 2
+        assert "error=inf divergent=False nonfinite=True" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["divergent"] is False and manifest["nonfinite"] is True
 
     @pytest.mark.parametrize("flag", ["--algorithm.mu=1.5", "--algorithm.mu=-0.5"])
     def test_mu_out_of_range_is_config_error(self, tmp_path, capsys, flag):
@@ -182,6 +207,21 @@ class TestTrainSubcommand:
         summary = json.loads((out / "manifest.json").read_text())["summary"]
         assert summary["final_loss_mean"] == math.inf
         assert math.isnan(summary["final_loss_std"])
+
+    def test_overflowing_losses_exit_2(self, tmp_path, capsys):
+        # the run of test_overflowing_losses_warn_nothing: X finite, losses inf
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "train", "--problem.kind=quadratic", "--problem.zeta=1",
+                "--algorithm.kind=GUT", "--algorithm.eta=2.5", "--algorithm.mu=0.9",
+                "--run.rounds=1000", "--run.decay=false", f"--run.output_dir={out}",
+            )
+        assert code == 2
+        assert "final_loss=inf divergent=False nonfinite=True" in capsys.readouterr().out
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["divergent"] == [False] * 3 and summary["nonfinite"] == [True] * 3
 
     def test_plot_emitted(self, tmp_path):
         out = tmp_path / "out"

@@ -422,6 +422,34 @@ class TestRunTraining:
         )
         assert result.traces[0].rows[-1].comm_scalars == 20 * comm_cost(spec, 4, W)
 
+    @pytest.mark.parametrize(
+        "kind", ["DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT", "GUT-bias"]
+    )
+    def test_comm_column_counts_mixed_vectors(self, kind):
+        W, d = build_topology("ring", 16), 10
+        mix, calls = W.mix, []
+
+        def counted(X):
+            calls.append(X.shape)
+            return mix(X)
+
+        W.mix = counted
+        problem = self.quad_problem(d=d, zeta=1.0, sigma=0.1)
+        spec = AlgorithmSpec(kind=kind, eta=0.05, mu=0.15, beta=0.9)
+        column = []
+        # a T-round trace is the first T rows of a longer one, so each run's
+        # last row is checked against the products counted in that run
+        for T in range(1, 5):
+            calls.clear()
+            rows = run_training(
+                W, problem, spec, T=T, batch_size=None, seeds=(1,), eval_every=T
+            ).traces[0].rows
+            # init_states mixes the shared start, which every agent already holds
+            column.append(rows[-1].comm_scalars)
+            assert column[-1] == (len(calls) - 1) * 2 * d, T
+        if kind == "GT":
+            assert column == [20, 60, 100, 140]  # x alone in round 0, x and y after
+
     def test_deterministic_traces(self):
         W = build_topology("ring", 16)
         spec = SyntheticProblemSpec(

@@ -247,6 +247,58 @@ class TestTableWeights:
         assert np.max(np.abs(out - ring)) <= 1e-14 * np.max(np.abs(X))
 
 
+def reference_table(n, edges):
+    """peers, degrees, slots and real written out row by row from (min, max) pairs."""
+    nbrs = [sorted({b for a, b in edges if a == i} | {a for a, b in edges if b == i})
+            for i in range(n)]
+    width = 1 + max(len(row) for row in nbrs)
+    peers = np.array([[i, *row] + [i] * (width - 1 - len(row)) for i, row in enumerate(nbrs)])
+    degrees = np.array([len(row) for row in nbrs])
+    real = np.array([[1.0] * (1 + len(row)) + [0.0] * (width - 1 - len(row)) for row in nbrs])
+    return peers, degrees, peers + n * np.arange(n)[:, None], real
+
+
+EDGE_ARRAY_GRAPHS = [
+    ("ring", 3, None), ("ring", 16, None), ("ring", 160, None), ("ring", 1024, None),
+    ("dyck", 32, None), ("torus", 9, None), ("torus", 15, (3, 5)), ("torus", 1024, None),
+    ("irregular", 256, None),
+]
+
+
+class TestEdgeArray:
+    """The table is the same whether the edges come as an array or a list."""
+
+    @pytest.mark.parametrize("kind,n,grid", EDGE_ARRAY_GRAPHS)
+    def test_array_and_list_build_equal_matrices(self, kind, n, grid):
+        if kind == "irregular":
+            w = irregular_weights(n)
+            i, j = np.nonzero(np.triu(w != 0, 1))
+            pairs, built = list(zip(i.tolist(), j.tolist())), as_mixing(w)
+        else:
+            w, pairs, built = None, loop_edges(kind, n, grid), build_topology(kind, n, grid)
+        dense = w if w is not None else matrix_from_edges(
+            n, np.array(pairs), TestTableWeights.PEERS[kind]
+        )
+        # the array in shuffled order, every other edge reversed
+        rng = np.random.default_rng(n)
+        ends = np.array(pairs)[rng.permutation(len(pairs))]
+        ends[::2] = ends[::2, ::-1]
+        from_array = topology.MixingMatrix(n, w, ends)
+        from_list = topology.MixingMatrix(n, w, pairs)
+        peers, degrees, slots, real = reference_table(n, pairs)
+        X, x = rng.standard_normal((n, 7)), rng.standard_normal(n)
+        for W in (built, from_array, from_list):
+            assert np.array_equal(W.peers, peers) and W.peers.dtype == np.intp
+            assert np.array_equal(W.degrees, degrees) and np.array_equal(W.slots, slots)
+            assert np.array_equal(W.real, real) and W.real.dtype == float
+            assert W.edges == pairs and W.edges is W.edges
+            assert all(type(v) is int for edge in W.edges for v in edge)
+            assert np.array_equal(W.peer_weights, from_list.peer_weights)
+            assert np.array_equal(W.mix(X), from_list.mix(X))
+            assert np.array_equal(W.mix(x), from_list.mix(x))
+            assert np.array_equal(W.weights, dense)
+
+
 class TestGatherBuffer:
     SHAPES = [((), np.float64), ((1,), np.float64), ((32,), np.float64), ((4, 3), np.float64),
               ((32,), np.float32)]
