@@ -120,8 +120,9 @@ class State:
     Row i is agent i.  ``X`` holds the parameters and ``Xp`` the previous
     ones (X itself initially).  ``S`` is the weighted neighborhood
     aggregate sum_j w_ij x_j, ``Y`` and ``D`` the tracking history y_prev
-    and delta_prev (GT keeps its previous gradient in ``D``), ``M`` the
-    momentum buffer and ``B`` the B column of the bias-correction form.
+    and delta_prev (GT keeps its previous gradient in ``D``, GUT-memeff
+    W y_prev in ``Y``), ``M`` the momentum buffer and ``B`` the B column
+    of the bias-correction form.
     A round returns only the buffers its rule changes and carries the rest
     over, so a buffer is current only for the kinds whose rule keeps it.
     ``losses`` holds the oracle's per-agent losses from the round that
@@ -194,18 +195,18 @@ def _gt(st, W, G, eta, mu, beta):
     return dict(X=W.mix(st.X - eta * Y), Y=Y, D=G)
 
 
-def _tracked(st, W, G, eta, mu, sent, scale=1.0):
-    """delta = g - (s - x)/eta and mc = mu*[W sent - scale*(s - x)/eta - delta_prev]
-    for the vector sent (y_prev for GUT, m for the momentum kinds), in place in
-    fresh arrays with the expressions' operations in their order, so their roundings."""
+def _tracked(st, G, eta, mu, mixed, scale=1.0):
+    """delta = g - (s - x)/eta and mc = mu*[W sent - scale*(s - x)/eta - delta_prev],
+    where ``mixed`` is W sent (W y_prev for GUT, W m for the momentum kinds), an
+    array of the caller's that receives mc.  In place with the expressions'
+    operations in their order, so their roundings."""
     correction = np.subtract(st.S, st.X)
     scaled = scale * correction / eta if scale != 1.0 else None
     correction /= eta
-    mc = W.mix(sent)
-    mc -= correction if scaled is None else scaled
-    mc -= st.D
-    mc *= mu
-    return np.subtract(G, correction, out=correction), mc
+    mixed -= correction if scaled is None else scaled
+    mixed -= st.D
+    mixed *= mu
+    return np.subtract(G, correction, out=correction), mixed
 
 
 def _around_mix(st, W, G, eta, delta, mc):
@@ -222,13 +223,12 @@ def _around_mix(st, W, G, eta, delta, mc):
 
 
 def _gut(st, W, G, eta, mu, beta):
-    return _around_mix(st, W, G, eta, *_tracked(st, W, G, eta, mu, st.Y))
+    return _around_mix(st, W, G, eta, *_tracked(st, G, eta, mu, W.mix(st.Y)))
 
 
 def _gut_matrix(st, W, G, eta, mu, beta):
-    correction = (st.S - st.X) / eta
-    delta = G - correction
-    Y = delta + mu * (W.mix(st.Y) - correction - st.D)
+    delta, mc = _tracked(st, G, eta, mu, W.mix(st.Y))
+    Y = np.add(delta, mc, out=mc)
     Xn = st.X - eta * Y
     return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
 
@@ -252,17 +252,18 @@ def _gut_bias(st, W, G, eta, mu, beta):
 
 
 def _gut_memeff(st, W, G, eta, mu, beta):
-    # S is the incrementally maintained aggregate, never recomputed
-    correction = (st.S - st.X) / eta
-    delta = G - correction
-    Y = delta + mu * (W.mix(st.Y) - correction - st.D)
-    return dict(X=st.X - eta * Y, S=st.S - eta * W.mix(Y), Y=Y, D=delta)
+    """S is the incrementally maintained aggregate, never recomputed.  Y holds
+    W y, the one product a round takes, which the next round's correction reads."""
+    delta, mc = _tracked(st, G, eta, mu, st.Y.copy())
+    Y = np.add(delta, mc, out=mc)
+    WY = W.mix(Y)
+    return dict(X=st.X - eta * Y, S=st.S - eta * WY, Y=WY, D=delta)
 
 
 def _gutm(st, W, G, eta, mu, beta, nesterov, scaled=False):
     """Heavy-ball on the tracked update; Nesterov applies the new buffer, and
     ``scaled`` (QG-GUTm-impl) puts (1 + beta)/eta on the displacement correction."""
-    delta, mc = _tracked(st, W, G, eta, mu, st.M, 1.0 + beta if scaled else 1.0)
+    delta, mc = _tracked(st, G, eta, mu, W.mix(st.M), 1.0 + beta if scaled else 1.0)
     Y = delta + mc
     M = beta * st.M + Y
     Xn = st.S - eta * (G + mc) - eta * beta * (M if nesterov else st.M)
@@ -271,7 +272,7 @@ def _gutm(st, W, G, eta, mu, beta, nesterov, scaled=False):
 
 def _qg_gutm(st, W, G, eta, mu, beta, nesterov):
     """Exponential buffer over the tracked update; Nesterov applies the new buffer."""
-    delta, mc = _tracked(st, W, G, eta, mu, st.M)
+    delta, mc = _tracked(st, G, eta, mu, W.mix(st.M))
     step = st.S - eta * (G + mc)
     Y = delta + mc
     M = beta * st.M + (1.0 - beta) * Y

@@ -160,19 +160,34 @@ def _config_lines(config: dict) -> dict[str, str]:
     return {key: fmt(key, config[key]) for key in sorted(config)}
 
 
-def _write(outdir: Path, name: str, text: str) -> Path:
+def _write(outdir: Path, name: str, text: str) -> None:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / name
-        path.write_text(text)
+        (outdir / name).write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {name} under {outdir}: {exc}")
-    return path
 
 
-def _manifest(outdir: Path, config: dict, extra: dict) -> None:
-    doc = {"config": _config_lines(config), **extra}
-    _write(outdir, "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_json(outdir: Path, name: str, doc: dict) -> None:
+    _write(outdir, name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _report(config: dict, outdir: Path, task: str, traces: dict, extra: dict, stats: str) -> int:
+    """Write the traces, the manifest and, with run.plot, the plot; print the
+    run line; return 2 if a trace is divergent or nonfinite, else 0.
+
+    ``traces`` maps each CSV file name to (plot label, trace); the manifest
+    holds the resolved config, ``task`` and ``extra``.
+    """
+    for name, (_, trace) in traces.items():
+        _write(outdir, name, trace.to_csv())
+    _write_json(outdir, "manifest.json", {"config": _config_lines(config), "task": task, **extra})
+    if config["run.plot"]:
+        emit_plot(list(traces.values()), outdir / f"{task}.svg")
+    divergent = any(tr.divergent for _, tr in traces.values())
+    nonfinite = any(tr.nonfinite for _, tr in traces.values())
+    print(f"{task} {stats} divergent={divergent} nonfinite={nonfinite}")
+    return 2 if divergent or nonfinite else 0
 
 
 def _build_topology(config: dict) -> topology.MixingMatrix:
@@ -227,17 +242,22 @@ def _algorithm_spec(config: dict) -> algorithms.AlgorithmSpec:
 def emit_plot(traces, path) -> None:
     """Self-contained SVG log-scale chart of consensus error vs round.
 
-    ``traces`` is a list of (label, MetricTrace); values below the chart
-    floor of 1e-16 are clamped so the log axis stays defined, and
-    non-finite values (the last rows of a diverging run) are left out.
+    ``traces`` is a non-empty list of (label, MetricTrace); values below
+    the chart floor of 1e-16 are clamped so the log axis stays defined, and
+    non-finite values (the last rows of a diverging run) are left out.  A
+    trace with no finite value is left out, and no file is written when no
+    trace has one.
     """
+    if not traces:
+        raise ValueError("emit_plot needs at least one trace")
     series = [
         (label, [(r.round, max(r.consensus_error, PLOT_FLOOR))
                  for r in tr.rows if np.isfinite(r.consensus_error)])
         for label, tr in traces
     ]
-    if not series or any(not pts for _, pts in series):
-        raise ValueError("emit_plot needs at least one trace, each with a finite value")
+    series = [(label, pts) for label, pts in series if pts]
+    if not series:
+        return
     width, height, margin = 640, 400, 50
     xmax = max(max(x for x, _ in pts) for _, pts in series)
     xmax = max(xmax, 1)
@@ -301,7 +321,7 @@ def _cmd_topology(config: dict, outdir: Path) -> int:
         "valid": report.ok,
         "violations": report.violations,
     }
-    _write(outdir, "spectral.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir, "spectral.json", doc)
     print(f"topology {config['topology.kind']} n={W.n} rho={stats.rho:.6g}")
     return 0
 
@@ -330,20 +350,12 @@ def _cmd_consensus(config: dict, outdir: Path) -> int:
         beta=config["algorithm.beta"],
         T=config["run.rounds"],
     )
-    _write(outdir, "consensus_trace.csv", trace.to_csv())
-    _manifest(
-        outdir, config,
-        {"task": "consensus", "divergent": trace.divergent, "nonfinite": trace.nonfinite},
+    method, final = config["consensus.method"], trace.rows[-1]
+    return _report(
+        config, outdir, "consensus", {"consensus_trace.csv": (method, trace)},
+        {"divergent": trace.divergent, "nonfinite": trace.nonfinite},
+        f"method={method} rounds={final.round} error={final.consensus_error:.6g}",
     )
-    if config["run.plot"]:
-        emit_plot([(config["consensus.method"], trace)], outdir / "consensus.svg")
-    final = trace.rows[-1]
-    print(
-        f"consensus method={config['consensus.method']} rounds={final.round} "
-        f"error={final.consensus_error:.6g} divergent={trace.divergent} "
-        f"nonfinite={trace.nonfinite}"
-    )
-    return 2 if trace.divergent or trace.nonfinite else 0
 
 
 def _cmd_train(config: dict, outdir: Path) -> int:
@@ -360,22 +372,15 @@ def _cmd_train(config: dict, outdir: Path) -> int:
         eval_every=config["run.eval_every"],
         decay=config["run.decay"],
     )
-    for seed, tr in zip(config["run.seeds"], result.traces):
-        _write(outdir, f"trace_seed{seed}.csv", tr.to_csv())
-    _manifest(outdir, config, {"task": "train", "summary": result.summary})
-    if config["run.plot"]:
-        emit_plot(
-            [(f"seed {s}", tr) for s, tr in zip(config["run.seeds"], result.traces)],
-            outdir / "train.svg",
-        )
-    divergent = any(tr.divergent for tr in result.traces)
-    nonfinite = any(tr.nonfinite for tr in result.traces)
-    print(
-        f"train {spec.kind} rounds={config['run.rounds']} "
-        f"final_loss={result.summary['final_loss_mean']:.6g} divergent={divergent} "
-        f"nonfinite={nonfinite}"
+    traces = {
+        f"trace_seed{seed}.csv": (f"seed {seed}", tr)
+        for seed, tr in zip(config["run.seeds"], result.traces)
+    }
+    return _report(
+        config, outdir, "train", traces, {"summary": result.summary},
+        f"{spec.kind} rounds={config['run.rounds']} "
+        f"final_loss={result.summary['final_loss_mean']:.6g}",
     )
-    return 2 if divergent or nonfinite else 0
 
 
 def _cmd_equivalence(config: dict, outdir: Path) -> int:
@@ -399,7 +404,7 @@ def _cmd_equivalence(config: dict, outdir: Path) -> int:
         "rounds": report.rounds,
         "diverged_at": report.diverged_at,
     }
-    _write(outdir, "equivalence.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir, "equivalence.json", doc)
     verdict = "<=" if report.passed else ">"
     print(
         f"equivalence max deviation {report.max_deviation:.3g} {verdict} {report.tol:g} "
@@ -429,7 +434,7 @@ def _cmd_validate(config: dict, outdir: Path) -> int:
         "mixing_ok": mixing.ok,
         "mixing_violations": mixing.violations,
     }
-    _write(outdir, "validate.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(outdir, "validate.json", doc)
     ok = check.eta_ok and check.mu_ok and mixing.ok
     print(
         f"validate eta={config['algorithm.eta']:g} (max {check.eta_max:.6g}) "

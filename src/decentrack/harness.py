@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,10 +31,6 @@ __all__ = [
     "decayed_schedule",
 ]
 
-CSV_HEADER = (
-    "round,consensus_error,mean_loss,avg_model_loss,avg_model_accuracy,eta,comm_scalars"
-)
-
 CONSENSUS_METHODS = ("gossip", "gut", "qg-gossip", "qg-gutm")
 
 
@@ -46,6 +43,12 @@ class TraceRow:
     avg_model_accuracy: float | None = None
     eta: float | None = None
     comm_scalars: int | float = 0
+
+
+# the CSV columns are TraceRow's fields, in their order
+_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_row_values = attrgetter(*_COLUMNS)
 
 
 @dataclass
@@ -65,20 +68,7 @@ class MetricTrace:
 
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.round,
-                        r.consensus_error,
-                        r.mean_loss,
-                        r.avg_model_loss,
-                        r.avg_model_accuracy,
-                        r.eta,
-                        r.comm_scalars,
-                    )
-                )
-            )
+            lines.append(",".join(fmt(v) for v in _row_values(r)))
         return "\n".join(lines) + "\n"
 
     def final_row(self) -> TraceRow:

@@ -103,7 +103,7 @@ def partition_histogram(
     table = np.zeros((part.n_agents, len(classes)), dtype=int)
     class_pos = {int(c): k for k, c in enumerate(classes)}
     for agent, idx in enumerate(part.assignments):
-        if idx.max(initial=-1) >= len(labels):
+        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= len(labels):
             raise ValueError(f"agent {agent} holds indices outside the label array")
         for c, cnt in zip(*np.unique(labels[idx], return_counts=True)):
             table[agent, class_pos[int(c)]] = cnt

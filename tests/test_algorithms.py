@@ -359,16 +359,21 @@ class TestAblationRules:
 
 
 def expression_round(kind, st, W, G, eta, mu):
-    """A GUT, RuleA or RuleB round as fresh-array expressions of its update equations."""
+    """A GUT, GUT-matrix, RuleA or RuleB round as fresh-array expressions of its
+    update equations."""
     correction = (st.S - st.X) / eta
     delta = G - correction
-    if kind == "GUT":
+    if kind in ("GUT", "GUT-matrix"):
         mc = mu * (W.mix(st.Y) - correction - st.D)
     elif kind == "RuleA":
         mc = mu * (W.mix(st.Y) - st.D)
     else:
         dx = st.X - st.Xp
         mc = mu * (-(W.mix(dx) - dx) / eta)
+    if kind == "GUT-matrix":
+        Y = delta + mc
+        Xn = st.X - eta * Y
+        return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
     Xn = st.S - eta * (G + mc)
     return dict(X=Xn, S=W.mix(Xn), Y=delta + mc, D=delta)
 
@@ -378,7 +383,7 @@ class TestInPlaceRounds:
     leave the state they start from untouched."""
 
     @pytest.mark.parametrize("n", [8, 256])  # dense and gather mixing
-    @pytest.mark.parametrize("kind", ["GUT", "RuleA", "RuleB"])
+    @pytest.mark.parametrize("kind", ["GUT", "GUT-matrix", "RuleA", "RuleB"])
     def test_match_fresh_array_expressions(self, kind, n):
         W = build_topology("ring", n)
         prob = make_quadratic(
@@ -409,13 +414,35 @@ class TestInPlaceRounds:
                 getattr(state, name).setflags(write=False)
             state = run_round(state, W, spec, oracle)
 
+    @pytest.mark.parametrize("n", [8, 256])  # dense and gather mixing
+    def test_memeff_matches_fresh_array_transcription(self, n):
+        # GUT-memeff's Y holds W y_prev, so the transcription keeps its own y_prev
+        W = build_topology("ring", n)
+        rng = np.random.default_rng(18)
+        oracle = quad_oracle(rng.standard_normal((n, 5)))
+        spec = AlgorithmSpec(kind="GUT-memeff", eta=0.1, mu=0.3)
+        state = init_states(rng.standard_normal((n, 5)), W)
+        X, S, Y, D = state.X, state.S, np.zeros_like(state.X), np.zeros_like(state.X)
+        for _ in range(12):
+            for name in ("X", "S", "Y", "D", "Xp"):
+                getattr(state, name).setflags(write=False)
+            _, G = oracle(S, state.round)
+            correction = (S - X) / spec.eta
+            delta = G - correction
+            Y = delta + spec.mu * (W.mix(Y) - correction - D)
+            X, S, D = X - spec.eta * Y, S - spec.eta * W.mix(Y), delta
+            state = run_round(state, W, spec, oracle)
+            assert state.X.tobytes() == X.tobytes()
+            assert state.S.tobytes() == S.tobytes()
+
 
 class TestMixCount:
     """Each rule makes one product with W per vector its agents send."""
 
     @pytest.mark.parametrize("n", [16, 256])  # dense and gather mixing
     @pytest.mark.parametrize(
-        "kind", ["DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT", "GUT-bias"]
+        "kind",
+        ["DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT", "GUT-bias", "GUT-memeff"],
     )
     def test_mix_calls_per_round_equal_sends(self, kind, n):
         W = build_topology("ring", n)

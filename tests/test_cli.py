@@ -5,6 +5,7 @@ import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,17 @@ class TestTrainSubcommand:
         svg = (out / "train.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_round_zero_divergence_with_plot_exits_2(self, tmp_path, capsys):
+        # the only seed diverges in round 0, so its trace has no row to plot
+        out = tmp_path / "out"
+        assert run_cli(
+            "train", "--problem.kind=quadratic", "--problem.zeta=1e150",
+            "--algorithm.kind=DSGD", "--algorithm.eta=1e300", "--run.rounds=5",
+            "--run.seeds=1", "--run.plot=true", f"--run.output_dir={out}",
+        ) == 2
+        assert "divergent=True" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trace_seed1.csv"]
+
     def test_nesterov_key_is_unknown(self, tmp_path, capsys):
         # Nesterov variants are selected by kind, not by a flag
         assert run_cli("train", "--algorithm.nesterov=true", f"--run.output_dir={tmp_path}") == 1
@@ -348,7 +360,7 @@ CHOICES = {
     "topology.grid": ["3x3", "4x16", "8x8", "0x5", "x", "3x"],
     "run.seeds": ["1", "2,3", "1,2,3", "0,-1", "1,1", ","],
     "run.decay": ["false"],
-    "run.plot": ["false"],
+    "run.plot": ["false", "true"],
 }
 
 
@@ -380,15 +392,30 @@ class TestConfigFuzz:
     @example(command="train", overrides={"problem.kind": "quadratic", "problem.zeta": "1e308"})
     @example(command="train", overrides={"problem.separation": "1e308"})
     @example(command="train", overrides={"run.seeds": "1,1"})
+    @example(command="train", overrides={
+        "problem.kind": "quadratic", "problem.zeta": "1e150", "algorithm.kind": "DSGD",
+        "algorithm.eta": "1e300", "run.rounds": "5", "run.seeds": "1", "run.plot": "true",
+    })
+    @example(command="train", overrides={"algorithm.kind": "GUT", "algorithm.mu": "0.9"})
     def test_every_config_ends_in_a_documented_exit_code(self, command, overrides):
         flags = [f"--{key}={value}" for key, value in overrides.items()]
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
-            code = main([command, *BASE, *flags, f"--run.output_dir={tmp}/out"])
+            outdir = Path(tmp) / "out"
+            code = main([command, *BASE, *flags, f"--run.output_dir={outdir}"])
+            manifest = outdir / "manifest.json"
+            doc = json.loads(manifest.read_text()) if manifest.exists() else None
+            # a config error writes nothing
+            assert code != 1 or not outdir.exists()
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+        if doc is not None:
+            # a train manifest lists the flags per seed, a consensus one holds one each
+            recorded = doc.get("summary", doc)
+            flagged = any(np.any(recorded[key]) for key in ("divergent", "nonfinite"))
+            assert (code == 2) == flagged
 
 
 class TestEquivalenceSubcommand:
@@ -460,6 +487,16 @@ class TestEmitPlot:
         assert svg.count("<polyline") == 1
         (points,) = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
         assert points.split('"')[1].count(",") == 3
+
+    def test_trace_without_finite_value_left_out(self, tmp_path):
+        # a run that diverges in round 0 has no rows
+        path = tmp_path / "some.svg"
+        emit_plot([("seed 1", self.trace([])), ("seed 2", self.trace([1.0, 0.5]))], path)
+        svg = path.read_text()
+        assert "seed 2" in svg and "seed 1" not in svg
+        path = tmp_path / "none.svg"
+        emit_plot([("seed 1", self.trace([])), ("seed 2", self.trace([np.inf]))], path)
+        assert not path.exists()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

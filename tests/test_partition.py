@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from decentrack.partition import (
+    Partition,
     dirichlet_partition,
     histogram_csv,
     partition_histogram,
@@ -103,6 +104,13 @@ class TestPartitionHistogram:
         table, _ = partition_histogram(part, labels)
         assert table.sum() == 120
         assert list(table.sum(axis=1)) == part.sizes()
+
+    @pytest.mark.parametrize("index", [-1, -4, 4])
+    def test_index_outside_labels_names_the_agent(self, index):
+        labels = balanced_labels(2, 4)
+        part = Partition(assignments=[np.array([0, 1]), np.array([2, index])])
+        with pytest.raises(ValueError, match="agent 1 holds indices outside the label array"):
+            partition_histogram(part, labels)
 
     def test_csv_rendering(self):
         table = np.array([[1, 2], [3, 4]])
