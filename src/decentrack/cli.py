@@ -40,8 +40,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _parse_seed(s: str) -> int:
+    seed = int(s)
+    if seed < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_seeds(s: str) -> tuple[int, ...]:
-    seeds = tuple(int(p) for p in str(s).split(",") if p.strip() != "")
+    seeds = tuple(_parse_seed(p) for p in str(s).split(",") if p.strip() != "")
     if not seeds:
         raise ValueError("run.seeds must list at least one integer")
     if len(set(seeds)) < len(seeds):
@@ -63,7 +70,7 @@ KEYS: dict[str, tuple] = {
     "topology.n": (int, 16),
     "topology.grid": (_parse_grid, None),
     "partition.alpha": (float, 0.1),
-    "partition.seed": (int, 0),
+    "partition.seed": (_parse_seed, 0),
     "partition.min_per_agent": (int, 1),
     "problem.kind": (str, "softmax"),
     "problem.d": (int, 10),
@@ -74,14 +81,14 @@ KEYS: dict[str, tuple] = {
     "problem.hidden": (int, 16),
     "problem.separation": (float, 3.0),
     "problem.L": (float, 1.0),
-    "problem.seed": (int, 0),
+    "problem.seed": (_parse_seed, 0),
     "algorithm.kind": (str, "GUT"),
     "algorithm.eta": (float, 0.1),
     "algorithm.mu": (float, 0.9),
     "algorithm.beta": (float, 0.9),
     "consensus.method": (str, "gut"),
     "consensus.d": (int, 32),
-    "consensus.seed": (int, 0),
+    "consensus.seed": (_parse_seed, 0),
     "run.rounds": (int, 100),
     "run.batch": (int, 32),
     "run.seeds": (_parse_seeds, (1, 2, 3)),

@@ -26,8 +26,10 @@ bit generator is built for them: numpy's PCG64 is computed in closed form
 from the hashed words (``_pcg64_raw``), and one vectorised pass maps the
 raw words to indices with numpy's own algorithm for ``Generator.integers``
 (``_lemire_map``); the rare row whose draws hit a rejection is drawn again
-by numpy itself.  Quadratic noise costs only numpy's own calls: one PCG64
-build, one ``Generator`` and one ziggurat ``standard_normal`` per agent.
+by numpy itself.  Quadratic noise takes one PCG64 build, one ``Generator``
+per oracle and one ziggurat ``standard_normal`` per agent: each agent's
+seeded state, from the same closed form (``_pcg64_seeded``), is written into
+the one PCG64 before its row is drawn (``_SeededNormals``).
 Neither classification oracle loops over agents: softmax picks the true
 classes of its class-major stack through one flat index, and the MLP stacks
 the agents of each batch size, bit for bit the per-agent reference.
@@ -40,6 +42,7 @@ read-only.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -213,8 +216,7 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for np.uint64 itself, which needs no np.dtype built
-        if n_words != len(self.words) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
             raise ValueError(
                 f"precomputed {len(self.words)} uint64 words,"
                 f" asked for {n_words} {np.dtype(dtype)}"
@@ -258,20 +260,20 @@ _MASK128 = 2**128 - 1
 
 @functools.lru_cache(maxsize=8)
 def _pcg64_consts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (16, 4m) limb matrix and (4m,) offset that give PCG64's first m states.
+    """The (16, 4m) limb matrix and (4m,) offset that give PCG64's states 0..m-1.
 
     numpy seeds PCG64 from state words (s_hi, s_lo, i_hi, i_lo) as
-    inc = 2i + 1 and state = (s + inc) * MULT + inc, then steps before each
-    output, so output j reads state_j = A_j (s + inc) + C_j inc mod 2**128
-    with A_j = MULT**(j + 2) and C_j = MULT**(j + 1) + ... + 1.  That is
-    A_j s + 2 (A_j + C_j) i + (A_j + C_j): a constant multiple of each
+    inc = 2i + 1 and state_0 = (s + inc) * MULT + inc, then steps before each
+    output, so output j reads state_(j + 1), and state_j = A_j (s + inc) + C_j inc
+    mod 2**128 with A_j = MULT**(j + 1) and C_j = MULT**j + ... + 1.  That
+    is A_j s + 2 (A_j + C_j) i + (A_j + C_j): a constant multiple of each
     16-bit limb of the words, plus an offset.  Row p is input limb p of the
     words' little-endian uint16 view; column 4j + k holds the multiples'
     32-bit limb k of state_j.
     """
     matrix = np.zeros((16, 4 * m))
     offset = np.zeros(4 * m)
-    power, total = _PCG_MULT, 1  # MULT**(j + 1), C_j - MULT**(j + 1)
+    power, total = 1, 0  # MULT**j, C_j - MULT**j
     for j in range(m):
         total = (total + power) & _MASK128
         power = (power * _PCG_MULT) & _MASK128
@@ -287,14 +289,15 @@ def _pcg64_consts(m: int) -> tuple[np.ndarray, np.ndarray]:
     return matrix, offset
 
 
-def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
-    """Row i: ``np.random.PCG64(_StateWords(words[i])).random_raw(m)``, all rows at once.
+def _pcg64_states(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the 64-bit halves of state j of ``PCG64(_StateWords(words[i]))`` at [i, j], j < m.
 
-    The 128-bit states come from one float64 product of the words' 16-bit
-    limbs with ``_pcg64_consts(m)``.  Each sum is of at most 16 terms below
-    2**48 plus an offset below 2**32, so it is an exact integer below
-    2**53 whatever the summation order or BLAS thread count; carrying the
-    32-bit limbs then gives each state mod 2**128.
+    State 0 is the one numpy's seeding leaves.  The 128-bit states come
+    from one float64 product of the words' 16-bit limbs with
+    ``_pcg64_consts(m)``.  Each sum is of at most 16 terms below 2**48 plus
+    an offset below 2**32, so it is an exact integer below 2**53 whatever
+    the summation order or BLAS thread count; carrying the 32-bit limbs
+    then gives each state mod 2**128.
     """
     matrix, offset = _pcg64_consts(m)
     limbs = np.ascontiguousarray(words, dtype="<u8").view("<u2").astype(np.float64)
@@ -304,11 +307,74 @@ def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
         column = sums[:, :, k] + carry
         limb.append(column & np.uint64(_MASK32))
         carry = column >> np.uint64(32)
-    lo = limb[0] | (limb[1] << np.uint64(32))
-    hi = limb[2] | (limb[3] << np.uint64(32))
-    rot = limb[3] >> np.uint64(26)  # the state's top 6 bits
+    return limb[0] | (limb[1] << np.uint64(32)), limb[2] | (limb[3] << np.uint64(32))
+
+
+def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
+    """Row i: ``np.random.PCG64(_StateWords(words[i])).random_raw(m)``, all rows at once."""
+    lo, hi = _pcg64_states(words, m + 1)
+    lo, hi = lo[:, 1:], hi[:, 1:]
+    rot = hi >> np.uint64(58)  # the state's top 6 bits
     xored = hi ^ lo
     return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
+    """Row i: (state lo, state hi, inc lo, inc hi) of ``PCG64(_StateWords(words[i]))``."""
+    lo, hi = _pcg64_states(words, 1)
+    i_hi, i_lo = np.asarray(words, dtype=np.uint64)[:, 2:].T
+    one = np.uint64(1)
+    inc_lo, inc_hi = (i_lo << one) | one, (i_hi << one) | (i_lo >> np.uint64(63))
+    return np.stack((lo[:, 0], hi[:, 0], inc_lo, inc_hi), axis=1)
+
+
+# Orders of the four 64-bit words of ``_pcg64_seeded``'s rows in numpy's
+# pcg64_random_t: a native __uint128_t stores lo, hi; the emulated struct
+# (pcg64.h, without 128-bit integers) stores hi, lo
+_PCG64_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+
+
+class _SeededNormals:
+    """numpy's ``_generator(words).standard_normal`` for any state words, from one PCG64.
+
+    Before each row the row's seeded state is written into the one
+    PCG64's state, through a view of numpy's 128-bit state and increment;
+    the draws are numpy's own ziggurat on numpy's own state, bit for bit.
+    ``standard_normal`` reads whole 64-bit words, so the buffered 32-bit
+    half, which a write does not reset, is never read.
+    """
+
+    def __init__(self):
+        self.bit_generator = np.random.PCG64(0)
+        self._normal = np.random.Generator(self.bit_generator).standard_normal
+        # numpy's pcg64_state begins with a pointer to the state and increment,
+        # which the bit generator owns: the view is valid while it lives
+        address = ctypes.c_void_p.from_address(self.bit_generator.ctypes.state_address).value
+        self.view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+        # the word order: set a known state publicly and read it back
+        state, inc = (1 << 64) | 2, (3 << 64) | 5
+        self.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        known = np.array([2, 1, 5, 3], dtype=np.uint64)  # state lo, hi; inc lo, hi
+        for order in _PCG64_WORD_ORDERS:
+            if np.array_equal(self.view, known[list(order)]):
+                self.order = list(order)
+                break
+        else:
+            raise RuntimeError(
+                f"numpy {np.__version__} stores PCG64's state words in an unknown order"
+            )
+
+    def fill(self, out: np.ndarray, words: np.ndarray) -> None:
+        """Row i of ``out``: ``_generator(words[i]).standard_normal(out=out[i])``."""
+        # a 32-byte slice copied into the view's bytes is the cheapest write
+        states = _pcg64_seeded(words)[:, self.order].tobytes()
+        view, normal = memoryview(self.view).cast("B"), self._normal
+        for start, row in zip(range(0, len(states), 32), out):
+            view[:] = states[start : start + 32]
+            normal(out=row)
 
 
 def _bounded_draws(words: np.ndarray, bounds, size: int) -> np.ndarray:
@@ -465,10 +531,8 @@ class QuadraticProblem(Problem):
         return 0.5 * self.L * float(diff @ diff), self.L * diff
 
     def batched_oracle(self, batch_size, seed):
-        # standard_normal needs numpy's ziggurat, so each agent gets its own
-        # PCG64 and Generator; the seed hashing, the seed shim and the noise
-        # buffer are shared
         keys = _KeyPool(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
+        normals = _SeededNormals() if keys is not None else None
         noise = np.empty((self.n_agents, self.dim)) if keys is not None else None
 
         def oracle(X, rnd):
@@ -477,9 +541,7 @@ class QuadraticProblem(Problem):
             losses = 0.5 * self.L * np.einsum("ij,ij->i", G, G)
             G *= self.L
             if keys is not None:
-                shim = _StateWords(None)
-                for row, shim.words in zip(noise, keys.state_words([rnd])[0]):
-                    np.random.Generator(np.random.PCG64(shim)).standard_normal(out=row)
+                normals.fill(noise, keys.state_words([rnd])[0])
                 # the same rounding as G += sigma * noise, with no temporary
                 np.multiply(noise, self.sigma, out=noise)
                 G += noise

@@ -343,6 +343,19 @@ class TestOutOfRangeValues:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("run.seeds", "1,-3"), ("problem.seed", "-3"),
+                       ("partition.seed", "-3"), ("consensus.seed", "-3")],
+    )
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, key, value):
+        # rejected when parsed: run.seeds=1,-3 does not run seed 1 first
+        out = tmp_path / "out"
+        flags = ("--run.rounds=2", f"--{key}={value}", f"--run.output_dir={out}")
+        assert run_cli("train", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {key}: ") and "got -3" in err
+        assert not out.exists()
+
 
 # Adversarial raw values for every key, and per-key values that keep a case
 # small: n <= 64, rounds <= 20, samples <= 2000, every other size <= 64.

@@ -348,23 +348,69 @@ class TestBatchedOracle:
 
 
 class TestQuadraticNoise:
-    """The quadratic oracle's noise loop: one PCG64 per agent, numpy's own draws."""
+    """The quadratic oracle's noise: one PCG64 per oracle, numpy's own draws."""
 
-    def quadratic(self, n, sigma):
+    def quadratic(self, n, sigma, d=5):
         return make_problem(
-            SyntheticProblemSpec(kind="quadratic", d=5, n_agents=n, zeta=1.0, sigma=sigma, seed=2)
+            SyntheticProblemSpec(kind="quadratic", d=d, n_agents=n, zeta=1.0, sigma=sigma, seed=2)
         )
 
-    @pytest.mark.parametrize("sigma,per_call", [(0.3, 1), (0.0, 0)])
-    def test_one_bit_generator_per_agent(self, sigma, per_call, monkeypatch):
+    @pytest.mark.parametrize("sigma,per_oracle", [(0.3, 1), (0.0, 0)])
+    def test_one_bit_generator_per_oracle(self, sigma, per_oracle, monkeypatch):
         problem = self.quadratic(12, sigma)
-        oracle = make_oracle(problem, seed=6)
         built = []
-        pcg64 = np.random.PCG64
-        monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(1) or pcg64(seed))
+        pcg64, generator = np.random.PCG64, np.random.Generator
+        monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append("PCG64") or pcg64(*a))
+        monkeypatch.setattr(
+            np.random, "Generator", lambda *a: built.append("Generator") or generator(*a)
+        )
+        oracle = make_oracle(problem, seed=6)
+        assert built == ["PCG64", "Generator"] * per_oracle
         for rnd in range(3):
             oracle(np.zeros((12, 5)), rnd)
-            assert len(built) == per_call * 12 * (rnd + 1)
+        assert built == ["PCG64", "Generator"] * per_oracle
+
+    def test_long_rows_are_generator_draws(self):
+        # at d = 4096 a row takes the ziggurat's tail and wedge branches,
+        # which read extra raw words; each agent's write still resets the
+        # stream.  At X = b with sigma = 1, G is the noise exactly
+        problem = self.quadratic(8, 1.0, d=4096)
+        _, G = make_oracle(problem, seed=9)(problem.b.copy(), 5)
+        extra = []
+        for row, words in zip(G, spawned_words(9, range(8), 5)):
+            generator = models._generator(words)
+            assert np.array_equal(row, generator.standard_normal(4096))
+            plain = np.random.PCG64(models._StateWords(words)).advance(4096)
+            extra.append(generator.bit_generator.state != plain.state)
+        assert all(extra)
+
+    def test_rounds_out_of_order_and_interleaved_oracles(self):
+        problem = self.quadratic(6, 0.5)
+        X = np.random.default_rng(1).standard_normal((6, 5))
+        first, second = make_oracle(problem, seed=3), make_oracle(problem, seed=4)
+        got = {}
+        for rnd in (3, 1, 3):
+            for seed, oracle in ((3, first), (4, second)):
+                got.setdefault((seed, rnd), []).append(oracle(X, rnd)[1])
+        assert np.array_equal(*got[3, 3]) and np.array_equal(*got[4, 3])
+        for (seed, rnd), (G, *_) in got.items():
+            noise = np.stack([reference_rng(seed, i, rnd).standard_normal(5) for i in range(6)])
+            assert np.array_equal(G, problem.L * (X - problem.b) + 0.5 * noise)
+
+    def test_view_writes_the_public_state(self):
+        normals = models._SeededNormals()
+        words = np.random.default_rng(2).integers(0, 2**64, size=(3, 4), dtype=np.uint64)
+        for row, seeded in zip(words, models._pcg64_seeded(words)):
+            np.copyto(normals.view, seeded[normals.order])
+            state = np.random.PCG64(models._StateWords(row)).state
+            assert normals.bit_generator.state == state
+
+    def test_unknown_word_order_names_numpy(self, monkeypatch):
+        order = tuple(models._SeededNormals().order)
+        others = tuple(o for o in models._PCG64_WORD_ORDERS if o != order)
+        monkeypatch.setattr(models, "_PCG64_WORD_ORDERS", others)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__} "):
+            models._SeededNormals()
 
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 11, 2**100 + 5])
     @pytest.mark.parametrize("rnd", [2**32, 2**32 + 7, 2**40 + 1])
@@ -551,6 +597,20 @@ class TestPcg64Raw:
         assert got.shape == (len(words), m) and got.dtype == np.uint64
         for row, key in zip(got, words):
             assert np.array_equal(row, np.random.PCG64(models._StateWords(key)).random_raw(m))
+
+    def test_seeded_states_match_numpy(self):
+        keys = np.random.default_rng(5).integers(0, 2**64, size=(2000, 4), dtype=np.uint64)
+        edges = np.array([[0] * 4, [MASK64] * 4], dtype=np.uint64)
+        streams = [
+            seed_words_for(pcg64_emitting((0x7F4A7C15 << 32) | u))
+            for u in (0, 1, 2**31, 2**32 - 1, 0x1234567)
+        ]
+        words = np.concatenate((edges, keys, streams))
+        got = models._pcg64_seeded(words)
+        assert got.shape == (len(words), 4) and got.dtype == np.uint64
+        for (s_lo, s_hi, inc_lo, inc_hi), key in zip(got.tolist(), words):
+            state = np.random.PCG64(models._StateWords(key)).state["state"]
+            assert state == {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
 
     @pytest.mark.parametrize("m", [1, 16, 17])
     @pytest.mark.parametrize("bound", [37, 2**32 - 1, 3 * 2**30 + 1, 999_999_937])
