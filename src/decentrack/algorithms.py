@@ -9,7 +9,8 @@ variants) evaluates gradients at the gossip-mixed point
 ``s_i = sum_j w_ij x_j`` and transmits a single vector per round; the
 baselines evaluate at the local parameters.  Nesterov look-ahead variants
 are kinds of their own (``DSGDmN``, ``QG-DSGDmN``, ``GUTmN``,
-``QG-GUTmN``).  Every product with W goes through ``MixingMatrix.mix``.
+``QG-GUTmN``).  Every product with W goes through ``MixingMatrix.mix``,
+one per vector sent: the tracked kinds derive W sent from W x - W x'.
 Four algebraically equivalent formulations of the tracked update are
 provided so that their trajectories can be cross-checked:
 
@@ -117,12 +118,12 @@ class AlgorithmSpec:
 class State:
     """All agents' buffers at a round boundary, one ``(n, d)`` array each.
 
-    Row i is agent i.  ``X`` holds the parameters and ``Xp`` the previous
-    ones (X itself initially).  ``S`` is the weighted neighborhood
-    aggregate sum_j w_ij x_j, ``Y`` and ``D`` the tracking history y_prev
-    and delta_prev (GT keeps its previous gradient in ``D``, GUT-memeff
-    W y_prev in ``Y``), ``M`` the momentum buffer and ``B`` the B column
-    of the bias-correction form.
+    Row i is agent i.  ``X`` holds the parameters and ``S`` the weighted
+    neighborhood aggregate sum_j w_ij x_j.  ``Y`` holds W times what the
+    tracked kinds sent last round (W y_prev, or W m for the momentum-GUT
+    kinds; GT keeps y itself), ``D`` delta_prev (GT: its previous
+    gradient), ``M`` the momentum buffer and ``B`` the B column of the
+    bias-correction form (RuleB: its last mixing residual s - x).
     A round returns only the buffers its rule changes and carries the rest
     over, so a buffer is current only for the kinds whose rule keeps it.
     ``losses`` holds the oracle's per-agent losses from the round that
@@ -136,7 +137,6 @@ class State:
     D: np.ndarray
     M: np.ndarray
     B: np.ndarray
-    Xp: np.ndarray
     round: int = 0
     losses: np.ndarray | None = None
 
@@ -145,21 +145,16 @@ class State:
         finite = np.isfinite(X)
         if not finite.all():
             raise DivergenceError(int(np.argmin(finite.all(axis=1))), self.round)
-        return dataclasses.replace(
-            self, X=X, Xp=self.X, round=self.round + 1, losses=losses, **changed
-        )
+        return dataclasses.replace(self, X=X, round=self.round + 1, losses=losses, **changed)
 
 
 def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
-    """Initial state: S = W X0, x_prev = X0, all other buffers zero.
-
-    Rounds never write into a state's arrays, so Xp is X itself and the
-    zero buffers are one read-only array.
-    """
+    """Initial state: S = W X0, and every other buffer one read-only zero
+    array, as rounds never write into a state's arrays."""
     X0 = check_start(X0, W)
     zeros = np.zeros_like(X0)
     zeros.setflags(write=False)
-    return State(X=X0, S=W.mix(X0), Y=zeros, D=zeros, M=zeros, B=zeros, Xp=X0)
+    return State(X=X0, S=W.mix(X0), Y=zeros, D=zeros, M=zeros, B=zeros)
 
 
 # Each rule maps (state, W, G, eta, mu, beta) to the arrays of the next
@@ -195,42 +190,46 @@ def _gt(st, W, G, eta, mu, beta):
     return dict(X=W.mix(st.X - eta * Y), Y=Y, D=G)
 
 
-def _tracked(st, G, eta, mu, mixed, scale=1.0):
-    """delta = g - (s - x)/eta and mc = mu*[W sent - scale*(s - x)/eta - delta_prev],
-    where ``mixed`` is W sent (W y_prev for GUT, W m for the momentum kinds), an
-    array of the caller's that receives mc.  In place with the expressions'
-    operations in their order, so their roundings."""
+def _tracked(st, G, eta, mu, scale=1.0):
+    """delta = g - (s - x)/eta and mc = mu*[W sent - scale*(s - x)/eta - delta_prev], W sent
+    being ``st.Y``; in fresh arrays, the expressions' operations in order, so their roundings."""
     correction = np.subtract(st.S, st.X)
     scaled = scale * correction / eta if scale != 1.0 else None
     correction /= eta
-    mixed -= correction if scaled is None else scaled
-    mixed -= st.D
-    mixed *= mu
-    return np.subtract(G, correction, out=correction), mixed
+    mc = np.subtract(st.Y, correction if scaled is None else scaled)
+    mc -= st.D
+    mc *= mu
+    return np.subtract(G, correction, out=correction), mc
 
 
-def _around_mix(st, W, G, eta, delta, mc):
-    """y = delta + mc, and x - eta*y rearranged around the mixed point as
-    s - eta*(g + mc), which is exactly W x - eta g when mc = 0.
+def _mixed(st, W, Xn, eta, lead=0.0, **changed):
+    """S' = W x', the round's one product, and Y = W sent from S - S' = W(x - x'):
+    x - x' is eta*sent, or eta*[(1 + lead)*m' - lead*m] under Nesterov (lead = beta)."""
+    Sn = W.mix(Xn)
+    WY = np.subtract(st.S, Sn)
+    WY /= eta
+    if lead:
+        WY = (WY + lead * st.Y) / (1.0 + lead)
+    return dict(X=Xn, S=Sn, Y=WY, **changed)
 
-    ``mc`` must be the caller's own array: y is summed into it.
-    """
-    Xn = np.add(G, mc)
+
+def _around_mix(st, W, G, eta, delta, mc, **changed):
+    """x - eta*y rearranged around the mixed point as s - eta*(g + mc), exactly
+    W x - eta g when mc = 0; x' is built in ``mc``, which must be the caller's own."""
+    Xn = np.add(G, mc, out=mc)
     Xn *= eta
     np.subtract(st.S, Xn, out=Xn)
-    mc += delta
-    return dict(X=Xn, S=W.mix(Xn), Y=mc, D=delta)
+    return _mixed(st, W, Xn, eta, D=delta, **changed)
 
 
 def _gut(st, W, G, eta, mu, beta):
-    return _around_mix(st, W, G, eta, *_tracked(st, G, eta, mu, W.mix(st.Y)))
+    return _around_mix(st, W, G, eta, *_tracked(st, G, eta, mu))
 
 
 def _gut_matrix(st, W, G, eta, mu, beta):
-    delta, mc = _tracked(st, G, eta, mu, W.mix(st.Y))
+    delta, mc = _tracked(st, G, eta, mu)
     Y = np.add(delta, mc, out=mc)
-    Xn = st.X - eta * Y
-    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta)
+    return _mixed(st, W, st.X - eta * Y, eta, D=delta)
 
 
 def tracked_bracket(S, Sp, X, Xp):
@@ -252,9 +251,8 @@ def _gut_bias(st, W, G, eta, mu, beta):
 
 
 def _gut_memeff(st, W, G, eta, mu, beta):
-    """S is the incrementally maintained aggregate, never recomputed.  Y holds
-    W y, the one product a round takes, which the next round's correction reads."""
-    delta, mc = _tracked(st, G, eta, mu, st.Y.copy())
+    """S is the incrementally kept aggregate, never recomputed; Y is W y, its one product."""
+    delta, mc = _tracked(st, G, eta, mu)
     Y = np.add(delta, mc, out=mc)
     WY = W.mix(Y)
     return dict(X=st.X - eta * Y, S=st.S - eta * WY, Y=WY, D=delta)
@@ -263,32 +261,34 @@ def _gut_memeff(st, W, G, eta, mu, beta):
 def _gutm(st, W, G, eta, mu, beta, nesterov, scaled=False):
     """Heavy-ball on the tracked update; Nesterov applies the new buffer, and
     ``scaled`` (QG-GUTm-impl) puts (1 + beta)/eta on the displacement correction."""
-    delta, mc = _tracked(st, G, eta, mu, W.mix(st.M), 1.0 + beta if scaled else 1.0)
+    delta, mc = _tracked(st, G, eta, mu, 1.0 + beta if scaled else 1.0)
     Y = delta + mc
     M = beta * st.M + Y
     Xn = st.S - eta * (G + mc) - eta * beta * (M if nesterov else st.M)
-    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
+    return _mixed(st, W, Xn, eta, beta if nesterov else 0.0, D=delta, M=M)
 
 
 def _qg_gutm(st, W, G, eta, mu, beta, nesterov):
     """Exponential buffer over the tracked update; Nesterov applies the new buffer."""
-    delta, mc = _tracked(st, G, eta, mu, W.mix(st.M))
+    delta, mc = _tracked(st, G, eta, mu)
     step = st.S - eta * (G + mc)
     Y = delta + mc
     M = beta * st.M + (1.0 - beta) * Y
     Xn = beta * st.X + (1.0 - beta) * step - eta * beta * (M if nesterov else st.M)
-    return dict(X=Xn, S=W.mix(Xn), Y=Y, D=delta, M=M)
+    return _mixed(st, W, Xn, eta, beta if nesterov else 0.0, D=delta, M=M)
 
 
 def _rule_a(st, W, G, eta, mu, beta):
     """GUT without the -(s - x)/eta term in the correction."""
-    return _around_mix(st, W, G, eta, G - (st.S - st.X) / eta, mu * (W.mix(st.Y) - st.D))
+    return _around_mix(st, W, G, eta, G - (st.S - st.X) / eta, mu * (st.Y - st.D))
 
 
 def _rule_b(st, W, G, eta, mu, beta):
-    """Corrects with the mixing residual of the last displacement."""
-    dx = st.X - st.Xp
-    return _around_mix(st, W, G, eta, G - (st.S - st.X) / eta, mu * (-(W.mix(dx) - dx) / eta))
+    """Corrects with the mixing residual of the last displacement,
+    (W - I)(x - x_prev) = r - r_prev for r = s - x; B keeps r (r_prev = r in round 0)."""
+    r = st.S - st.X
+    r_prev = r if st.round == 0 else st.B
+    return _around_mix(st, W, G, eta, G - r / eta, mu * (-(r - r_prev) / eta), B=r)
 
 
 class Rule(NamedTuple):

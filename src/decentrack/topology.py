@@ -184,8 +184,11 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
 
     kind: ``ring`` (3 peers per agent including self, weight 1/3),
     ``dyck`` (n=32 fixed, 4 peers, weight 1/4) or ``torus``
-    (rows x cols wraparound grid, 5 peers, weight 1/5).
+    (rows x cols wraparound grid, 5 peers, weight 1/5).  Only the torus
+    takes a ``grid``; a grid given with ring or dyck is a ValueError.
     """
+    if grid is not None and kind in ("ring", "dyck"):
+        raise ValueError(f"{kind} topology takes no grid, got {grid[0]}x{grid[1]}")
     if kind == "ring":
         if n < 3:
             raise ValueError(f"ring topology requires n >= 3, got n={n}")

@@ -90,6 +90,17 @@ class TestTopologySubcommand:
         assert run_cli("topology", *flags, f"--run.output_dir={tmp_path}") == 0
         assert json.loads((tmp_path / "spectral.json").read_text())["edges"] == edges
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--topology.n=16", "--topology.grid=3x5"),
+         ("--topology.kind=dyck", "--topology.n=32", "--topology.grid=4x8")],
+    )
+    def test_grid_without_torus_exits_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("topology", *flags, f"--run.output_dir={out}") == 1
+        assert "takes no grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPartitionSubcommand:
     def test_histogram_and_skew(self, tmp_path, capsys):

@@ -54,7 +54,10 @@ class TestBuildTopology:
 
     @pytest.mark.parametrize(
         "kind,n,grid",
-        [("ring", 2, None), ("dyck", 16, None), ("torus", 6, (2, 3)), ("torus", 12, (3, 5))],
+        [
+            ("ring", 2, None), ("dyck", 16, None), ("torus", 6, (2, 3)), ("torus", 12, (3, 5)),
+            ("ring", 16, (3, 5)), ("ring", 15, (3, 5)), ("dyck", 32, (4, 8)),
+        ],
     )
     def test_invalid_sizes_rejected(self, kind, n, grid):
         with pytest.raises(ValueError):
