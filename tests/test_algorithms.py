@@ -252,6 +252,10 @@ def transcription(kind, Wd, X, b, T, eta, mu, beta):
     return out
 
 
+def cycling_step(t):
+    return (0.05, 0.1, 0.02)[t % 3]
+
+
 class TestMomentumTranscriptions:
     @pytest.mark.parametrize(
         "kind",
@@ -262,37 +266,28 @@ class TestMomentumTranscriptions:
         ],
     )
     def test_matches_update_equations(self, kind):
-        # the rules take W sent from their one product per round; the
-        # transcription mixes it afresh, so this pins the two-product
-        # equations.  At beta = 0.9 GUTmN grows without bound (to 5e42 by
-        # round 200), so the bound is 1e-12 of the iterate's scale, max(1, |x|)
+        # the rules take W sent from their one product per round, (S - S')/eta
+        # with the step of the round that sent it; the transcription mixes it
+        # afresh, so this pins the two-product equations, at a constant step
+        # and at a cycling one
         W = build_topology("ring", 8)
         rng = np.random.default_rng(15)
         X0 = rng.standard_normal((8, 3))
         b = rng.standard_normal((8, 3))
-        hp = dict(eta=0.05, mu=0.15, beta=0.9)
-        traj = run_trajectory(kind, W, X0, quad_oracle(b), T=200, **hp)
-        ref = transcription(kind, W.weights, X0, b, T=200, **hp)
-        for X, R in zip(traj, ref):
-            assert np.max(np.abs(X - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
-
-    @pytest.mark.parametrize("kind", ["GUT", "GUT-matrix", "QG-GUTm", "GUTmN", "RuleB"])
-    def test_step_schedule(self, kind):
-        # W sent comes from (S - S')/eta, which must use the step of the round that sent it
-        W = build_topology("ring", 8)
-        rng = np.random.default_rng(19)
-        X0 = rng.standard_normal((8, 3))
-        b = rng.standard_normal((8, 3))
-
-        def schedule(t):
-            return (0.05, 0.2, 0.01)[t % 3]
-
-        traj = run_trajectory(
-            kind, W, X0, quad_oracle(b), T=30, eta=0.05, mu=0.15, beta=0.5, eta_schedule=schedule
-        )
-        ref = transcription(kind, W.weights, X0, b, T=30, eta=schedule, mu=0.15, beta=0.5)
-        for X, R in zip(traj, ref):
-            assert np.max(np.abs(X - R)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
+        hp = dict(mu=0.15, beta=0.9)
+        for step in (0.05, cycling_step):
+            schedule = step if callable(step) else None
+            traj = run_trajectory(
+                kind, W, X0, quad_oracle(b), T=200, eta=0.05, eta_schedule=schedule, **hp
+            )
+            ref = transcription(kind, W.weights, X0, b, T=200, eta=step, **hp)
+            for X, R in zip(traj, ref):
+                # 1e-12 absolute while the iterate stays below 100; at beta = 0.9
+                # GUTmN (and GUTm and QG-GUTm-impl under the cycling step) grow
+                # without bound, to 5e42 by round 200, and are then held to
+                # 1e-12 of the iterate's size
+                size = np.max(np.abs(R))
+                assert np.max(np.abs(X - R)) <= 1e-12 * (size if size > 100 else 1.0), step
 
 
 class TestBaselines:

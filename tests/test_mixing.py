@@ -345,7 +345,7 @@ class TestState:
         X0[:] = 5.0
         assert np.all(state.X == 1.0)
 
-    def test_round_counter_and_previous_parameters(self):
+    def test_round_counter_and_start_state_untouched(self):
         W = build_topology("ring", 8)
         rng = np.random.default_rng(1)
         X0 = rng.standard_normal((8, 3))
