@@ -617,7 +617,20 @@ class _ClassificationProblem(Problem):
                 f"expected one assignment per agent ({spec.n_agents}),"
                 f" got {len(self.assignments)}"
             )
-        for agent, local in enumerate(self.assignments):
+        # one pass over all agents finds the first that fails a check: no
+        # samples, then shape and dtype, then the index range over its slice
+        # of the concatenation; that agent's first failing check is raised
+        sizes = np.array([local.size for local in self.assignments])
+        ok = sizes > 0
+        ok &= [local.ndim == 1 and local.dtype.kind in "iu" for local in self.assignments]
+        if ok.any():
+            flat = np.concatenate([local for local, good in zip(self.assignments, ok) if good])
+            starts = np.cumsum(sizes[ok]) - sizes[ok]
+            low, high = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+            ok[ok] = (low >= 0) & (high < spec.n_samples)
+        if not ok.all():
+            agent = int(np.argmin(ok))
+            local = self.assignments[agent]
             if local.size == 0:
                 raise ValueError(f"agent {agent} is assigned no samples")
             if local.ndim != 1 or local.dtype.kind not in "iu":
@@ -625,11 +638,9 @@ class _ClassificationProblem(Problem):
                     f"agent {agent}'s assignment must be a 1-D integer array of"
                     f" sample indices, got shape {local.shape} and dtype {local.dtype}"
                 )
-            if local.min() < 0 or local.max() >= spec.n_samples:
-                raise ValueError(
-                    f"agent {agent} is assigned sample indices outside"
-                    f" [0, {spec.n_samples})"
-                )
+            raise ValueError(
+                f"agent {agent} is assigned sample indices outside [0, {spec.n_samples})"
+            )
 
     def draw_batch(self, agent, rnd, batch_size=None, seed=None):
         key = (self.seed if seed is None else seed, agent, rnd)

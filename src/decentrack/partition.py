@@ -32,17 +32,6 @@ class Partition:
         return [len(a) for a in self.assignments]
 
 
-def _largest_remainder_counts(p: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to ``total`` that round the proportions ``p``."""
-    raw = p * total
-    counts = np.floor(raw).astype(int)
-    short = total - counts.sum()
-    if short > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
-
-
 def dirichlet_partition(
     labels: np.ndarray,
     n_agents: int,
@@ -60,28 +49,39 @@ def dirichlet_partition(
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n_agents < 1 or n_agents > len(labels):
-        raise ValueError(
-            f"n_agents must be in [1, {len(labels)}], got {n_agents}"
-        )
-    classes = np.unique(labels)
+        raise ValueError(f"n_agents must be in [1, {len(labels)}], got {n_agents}")
+    # the classes are np.unique's: sorted, every NaN in one.  A class holds
+    # the samples equal to it (the NaN class none), ascending: the argsort
+    # leaves ties unordered, so one sort of class·N + index orders them
+    order = np.argsort(labels, axis=None)
+    ranked = np.take(labels, order)
+    real = ranked == ranked  # False only on NaN, which sorts last
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]) & real[:-1]])
+    sizes = np.diff(starts, append=np.count_nonzero(real))
+    base = np.repeat(np.arange(len(sizes)) * labels.size, sizes)
+    members = np.sort(base + order[: len(base)]) - base
+    agents = np.tile(np.arange(n_agents) * labels.size, len(sizes))
+    alphas, ends = np.full(n_agents, alpha), np.cumsum(sizes).tolist()
     for attempt in range(_MAX_REDRAWS):
         rng = np.random.default_rng(seed + attempt)
-        buckets: list[list[np.ndarray]] = [[] for _ in range(n_agents)]
-        for c in classes:
-            idx = np.flatnonzero(labels == c)
-            rng.shuffle(idx)
-            p = rng.dirichlet(np.full(n_agents, alpha))
-            counts = _largest_remainder_counts(p, len(idx))
-            start = 0
-            for agent, k in enumerate(counts):
-                buckets[agent].append(idx[start : start + k])
-                start += k
-        assignments = [
-            np.sort(np.concatenate(b)) if b else np.array([], dtype=int)
-            for b in buckets
-        ]
-        if min(len(a) for a in assignments) >= min_per_agent:
-            return Partition(assignments=assignments)
+        shuffled = members.copy()
+        p = np.empty((len(sizes), n_agents))
+        for c, (lo, hi) in enumerate(zip([0, *ends], ends)):  # shuffle, then proportions
+            rng.shuffle(shuffled[lo:hi])
+            p[c] = rng.dirichlet(alphas)
+        # largest remainders: class c's short[c] largest round up, ties in agent order
+        raw = p * sizes[:, None]
+        counts = np.floor(raw).astype(int)
+        short = sizes - counts.sum(axis=1)
+        up = np.argsort(-(raw - counts), axis=1, kind="stable")
+        counts[np.arange(len(sizes))[:, None], up] += np.arange(n_agents) < short[:, None]
+        totals = counts.sum(axis=0)
+        if totals.min() >= min_per_agent:
+            # each class's block goes out in runs; agent·N + index keys sort by agent
+            keys = np.sort(np.repeat(agents, counts.ravel()) + shuffled)
+            keys -= np.repeat(agents[:n_agents], totals)
+            cuts = np.cumsum(totals).tolist()
+            return Partition(assignments=[keys[lo:hi] for lo, hi in zip([0, *cuts], cuts)])
     raise RuntimeError(
         f"could not satisfy min_per_agent={min_per_agent} after {_MAX_REDRAWS} "
         f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha"

@@ -173,6 +173,7 @@ class TestTrainSubcommand:
         assert (out / "trace_seed1.csv").is_file()
         assert (out / "trace_seed2.csv").is_file()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exploding"] is False
         echoed = [f"--{k}={v}" for k, v in manifest["config"].items() if k != "run.output_dir"]
         reparsed = parse_config(echoed)
         original = parse_config(
@@ -298,6 +299,61 @@ class TestTrainSubcommand:
     def test_round_count_and_eval_interval_are_config_errors(self, tmp_path, capsys, flag, message):
         assert run_cli("train", flag, f"--run.output_dir={tmp_path}") == 1
         assert message in capsys.readouterr().err
+
+
+GUTMN_GROWS = (
+    "--problem.kind=quadratic", "--problem.zeta=1", "--algorithm.kind=GUTmN",
+    "--algorithm.eta=0.05", "--algorithm.mu=0.1", "--algorithm.beta=0.5",
+    "--run.rounds=1000", "--run.decay=false",
+)
+
+
+class TestExplodingFlag:
+    """A run whose last consensus error or mean loss is above its first and
+    more than 1e12 times its column's smallest positive value is flagged
+    ``exploding`` in the run line and the manifest, with a warning on stderr;
+    it still exits 0."""
+
+    @pytest.mark.parametrize("args,line", [
+        # the defaults: GUT at mu = 0.9 on ring-16, outside the stable region
+        (("train",), "final_loss=557.657 divergent=False nonfinite=False exploding=True"),
+        (
+            ("train", *GUTMN_GROWS),
+            "final_loss=3.86267e+86 divergent=False nonfinite=False exploding=True",
+        ),
+        (
+            ("consensus", "--consensus.method=gut", "--algorithm.mu=0.9", "--run.rounds=300"),
+            "error=2.53669e+232 divergent=False nonfinite=False exploding=True",
+        ),
+    ])
+    def test_exploding_run_flagged_and_exits_0(self, tmp_path, capsys, args, line):
+        out = tmp_path / "out"
+        assert run_cli(*args, f"--run.output_dir={out}") == 0
+        captured = capsys.readouterr()
+        assert line in captured.out
+        assert captured.err.startswith("warning: exploding run: ")
+        assert json.loads((out / "manifest.json").read_text())["exploding"] is True
+
+    @pytest.mark.parametrize("args", [
+        ("train", "--algorithm.kind=GUT", "--algorithm.mu=0.15", "--run.rounds=40"),
+        ("train", "--problem.kind=mlp", "--algorithm.kind=DSGD"),
+        ("train", "--problem.kind=quadratic", "--problem.zeta=1", "--algorithm.kind=DSGD",
+         "--run.rounds=300"),
+        # GUTm at the (mu, beta) where GUTmN grows converges
+        ("train", *GUTMN_GROWS[:2], "--algorithm.kind=GUTm", *GUTMN_GROWS[3:]),
+        # noise-free identical agents: the consensus error is rounding residue
+        ("train", "--problem.kind=quadratic", "--problem.zeta=0", "--algorithm.kind=GUT",
+         "--algorithm.mu=0.1", "--run.rounds=300"),
+        ("consensus", "--consensus.method=gut", "--algorithm.mu=0.15"),
+        ("consensus", "--consensus.method=gossip"),
+    ])
+    def test_converging_run_not_flagged(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(*args, f"--run.output_dir={out}") == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("nonfinite=False exploding=False")
+        assert captured.err == ""
+        assert json.loads((out / "manifest.json").read_text())["exploding"] is False
 
 
 class TestNonFiniteAndDegenerateValues:
@@ -440,6 +496,9 @@ class TestConfigFuzz:
             recorded = doc.get("summary", doc)
             flagged = any(np.any(recorded[key]) for key in ("divergent", "nonfinite"))
             assert (code == 2) == flagged
+            # the run line, the manifest and the warning agree on exploding
+            assert f"exploding={doc['exploding']}" in out.getvalue()
+            assert ("warning: exploding run: " in err.getvalue()) == doc["exploding"]
 
 
 class TestEquivalenceSubcommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -426,3 +427,84 @@ class TestAssignmentValidation:
     def test_one_assignment_per_agent(self):
         with pytest.raises(ValueError, match="one assignment per agent"):
             make_problem(self.SPEC, assignments=[np.arange(20)])
+
+
+_OUTSIDE = "agent {} is assigned sample indices outside [0, 20)"
+_SHAPE = (
+    "agent {}'s assignment must be a 1-D integer array of sample indices,"
+    " got shape {} and dtype {}"
+)
+
+
+class TestAssignmentPrecedence:
+    """Inputs that fail in several agents and several ways: the first failing
+    agent is reported, with the first of its checks that fails (no samples,
+    then shape and dtype, then the index range), in full."""
+
+    SPEC = classification_spec("softmax", n_agents=4, n_samples=20, seed=46)
+    CASES = {
+        "empty after out of range": (
+            [np.arange(5), np.array([3, 25]), np.array([], dtype=int), np.arange(5, 10)],
+            _OUTSIDE.format(1),
+        ),
+        "out of range after empty": (
+            [np.arange(5), np.array([], dtype=int), np.array([3, 25]), np.arange(5, 10)],
+            "agent 1 is assigned no samples",
+        ),
+        "2-D before empty and negative": (
+            [np.arange(4).reshape(2, 2), np.array([], dtype=int), np.array([-1]), np.arange(5)],
+            _SHAPE.format(0, (2, 2), "int64"),
+        ),
+        "float after valid, before negative": (
+            [np.arange(5), np.arange(5, 10), np.array([0.5, 1.0]), np.array([-1])],
+            _SHAPE.format(2, (2,), "float64"),
+        ),
+        "float holding out-of-range values": (
+            [np.arange(5), np.array([-1.0, 30.0]), np.arange(5), np.arange(5)],
+            _SHAPE.format(1, (2,), "float64"),
+        ),
+        "empty 2-D float": (
+            [np.arange(5), np.arange(5), np.zeros((0, 3)), np.array([99])],
+            "agent 2 is assigned no samples",
+        ),
+        "bool": (
+            [np.arange(5), np.arange(5), np.arange(5), np.array([True])],
+            _SHAPE.format(3, (1,), "bool"),
+        ),
+        "0-d": (
+            [np.int64(3), np.array([], dtype=int), np.arange(5), np.arange(5)],
+            _SHAPE.format(0, (), "int64"),
+        ),
+        "string": (
+            [np.arange(5), np.array(["1"]), np.array([-1]), np.arange(5)],
+            _SHAPE.format(1, (1,), "<U1"),
+        ),
+        "uint8 past the end after int32": (
+            [np.arange(5, dtype=np.int32), np.array([30], np.uint8), np.array([-3]), np.arange(5)],
+            _OUTSIDE.format(1),
+        ),
+        "uint64 maximum before int64 negative": (
+            [np.arange(5), np.array([2**64 - 1], dtype=np.uint64), np.array([-1]), np.arange(5)],
+            _OUTSIDE.format(1),
+        ),
+        "negative last": (
+            [np.arange(5), np.arange(5), np.arange(20), np.array([0, -1, 3])],
+            _OUTSIDE.format(3),
+        ),
+        "count before every agent": (
+            [np.array([], dtype=int), np.array([-1]), np.zeros(3)],
+            "expected one assignment per agent (4), got 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_failure_reported_in_full(self, case):
+        assignments, message = self.CASES[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_problem(self.SPEC, assignments=assignments)
+
+    def test_default_split_with_empty_agents_rejected(self):
+        # 20 samples over 25 agents: the even split leaves agents 20-24 empty
+        spec = dataclasses.replace(self.SPEC, n_agents=25)
+        with pytest.raises(ValueError, match="^agent 20 is assigned no samples$"):
+            make_problem(spec)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decentrack.partition import (
     Partition,
@@ -71,6 +75,105 @@ class TestDirichletPartition:
     def test_invalid_arguments(self, alpha, n_agents):
         with pytest.raises(ValueError):
             dirichlet_partition(balanced_labels(2, 20), n_agents, alpha=alpha, seed=0)
+
+
+def _reference_counts(p: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to ``total`` that round the proportions ``p``."""
+    raw = p * total
+    counts = np.floor(raw).astype(int)
+    short = total - counts.sum()
+    if short > 0:
+        order = np.argsort(-(raw - counts), kind="stable")
+        counts[order[:short]] += 1
+    return counts
+
+
+def reference_partition(labels, n_agents, alpha, seed, min_per_agent=1):
+    """The per-class loop ``dirichlet_partition`` ran before its array passes,
+    kept verbatim as the reference its partitions must equal."""
+    labels = np.asarray(labels)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if n_agents < 1 or n_agents > len(labels):
+        raise ValueError(
+            f"n_agents must be in [1, {len(labels)}], got {n_agents}"
+        )
+    classes = np.unique(labels)
+    for attempt in range(100):
+        rng = np.random.default_rng(seed + attempt)
+        buckets: list[list[np.ndarray]] = [[] for _ in range(n_agents)]
+        for c in classes:
+            idx = np.flatnonzero(labels == c)
+            rng.shuffle(idx)
+            p = rng.dirichlet(np.full(n_agents, alpha))
+            counts = _reference_counts(p, len(idx))
+            start = 0
+            for agent, k in enumerate(counts):
+                buckets[agent].append(idx[start : start + k])
+                start += k
+        assignments = [
+            np.sort(np.concatenate(b)) if b else np.array([], dtype=int)
+            for b in buckets
+        ]
+        if min(len(a) for a in assignments) >= min_per_agent:
+            return Partition(assignments=assignments)
+    raise RuntimeError(
+        f"could not satisfy min_per_agent={min_per_agent} after 100 "
+        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha"
+        " (--partition.alpha) or lower min_per_agent (--partition.min_per_agent)"
+    )
+
+
+_REDRAWN = np.array([-7, 3, 3, 40, -7, 3, 40, 40, 3, -7, 3, 40, 3, 3, -7, 40, 3, 3, 40, 3])
+_FLOAT_CLASSES = st.sampled_from([np.nan, -0.0, 0.0, 1.5, -2.0, 7.0, np.inf, -np.inf, 1e300])
+
+
+@st.composite
+def partition_cases(draw):
+    """Labels from a pool of 1-12 class values (ints with gaps and negative
+    values, floats with NaN and signed zeros, or strings), an agent count in
+    1-64 (1 and len(labels) among them), alpha in 10^[-2, 2], min_per_agent
+    in 0-3 and a seed."""
+    kind = draw(st.sampled_from(["int", "float", "str"]))
+    if kind == "int":
+        pool = draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12, unique=True))
+    elif kind == "float":
+        pool = draw(st.lists(_FLOAT_CLASSES, min_size=1, max_size=12))
+    else:
+        pool = draw(st.lists(st.text("abc", max_size=3), min_size=1, max_size=12, unique=True))
+    n = draw(st.integers(1, 160))
+    labels = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    n_agents = draw(st.sampled_from([1, min(n, 64), draw(st.integers(1, min(n, 64)))]))
+    alpha = 10 ** draw(st.floats(-2, 2))
+    return labels, n_agents, alpha, draw(st.integers(0, 2**32)), draw(st.integers(0, 3))
+
+
+class TestMatchesPerClassLoop:
+    """``dirichlet_partition`` draws the partition of the per-class loop it
+    replaced, array for array and dtype for dtype, redraws and exhaustion
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partition_cases())
+    @example((_REDRAWN, 6, 0.3, 0, 2))  # accepted at the 8th draw
+    @example((balanced_labels(2, 10), 10, 0.01, 0, 5))  # exhausts its 100 draws
+    @example((np.array([np.nan, 1.0, np.nan, -0.0, 0.0, 1.0]), 2, 1.0, 3, 0))  # NaN equals no class
+    def test_same_partition(self, case):
+        labels, n_agents, alpha, seed, min_per_agent = case
+        outcomes = []
+        for draw in (reference_partition, dirichlet_partition):
+            try:
+                outcomes.append(draw(labels, n_agents, alpha, seed, min_per_agent).assignments)
+            except RuntimeError as exc:
+                outcomes.append(str(exc))
+        expected, got = outcomes
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected
+            return
+        assert len(got) == len(expected) == n_agents
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestPartitionHistogram:
