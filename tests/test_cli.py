@@ -340,7 +340,7 @@ class TestExplodingFlag:
         ("train", "--problem.kind=quadratic", "--problem.zeta=1", "--algorithm.kind=DSGD",
          "--run.rounds=300"),
         # GUTm at the (mu, beta) where GUTmN grows converges
-        ("train", *GUTMN_GROWS[:2], "--algorithm.kind=GUTm", *GUTMN_GROWS[3:]),
+        ("train", *(a.replace("GUTmN", "GUTm") for a in GUTMN_GROWS)),
         # noise-free identical agents: the consensus error is rounding residue
         ("train", "--problem.kind=quadratic", "--problem.zeta=0", "--algorithm.kind=GUT",
          "--algorithm.mu=0.1", "--run.rounds=300"),
