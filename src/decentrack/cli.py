@@ -27,9 +27,6 @@ from . import algorithms, harness, models, partition, topology
 __all__ = ["main", "cli_entry", "emit_plot", "parse_config"]
 
 PLOT_FLOOR = 1e-16
-# a last error or loss this many times its column's smallest positive value,
-# and above its first, flags a run as exploding
-EXPLODING_GROWTH = 1e12
 
 # key -> (parser, default).  Every config key must appear here; anything
 # else is rejected with exit code 1.
@@ -183,30 +180,18 @@ def _write_json(outdir: Path, name: str, doc: dict) -> None:
     _write(outdir, name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _exploding(trace: harness.MetricTrace) -> bool:
-    """Whether the last consensus error or mean loss of ``trace`` exceeds the
-    first row's and is more than EXPLODING_GROWTH times the smallest positive
-    value of its column."""
-    for column in ("consensus_error", "mean_loss"):
-        values = [v for v in (getattr(r, column) for r in trace.rows) if v is not None]
-        positive = [v for v in values if v > 0]
-        if positive and values[-1] > max(values[0], EXPLODING_GROWTH * min(positive)):
-            return True
-    return False
-
-
 def _report(config: dict, outdir: Path, task: str, traces: dict, extra: dict, stats: str) -> int:
     """Write the traces, the manifest and, with run.plot, the plot; print the
     run line; return 2 if a trace is divergent or nonfinite, else 0.  An
-    exploding trace (see ``_exploding``) is flagged and warned of, and still
-    exits 0.
+    exploding trace (see ``MetricTrace.exploding``) is flagged and warned
+    of, and still exits 0.
 
     ``traces`` maps each CSV file name to (plot label, trace); the manifest
     holds the resolved config, ``task``, the exploding flag and ``extra``.
     """
     divergent = any(tr.divergent for _, tr in traces.values())
     nonfinite = any(tr.nonfinite for _, tr in traces.values())
-    exploding = any(_exploding(tr) for _, tr in traces.values())
+    exploding = any(tr.exploding for _, tr in traces.values())
     for name, (_, trace) in traces.items():
         _write(outdir, name, trace.to_csv())
     doc = {"config": _config_lines(config), "task": task, "exploding": exploding, **extra}
@@ -217,7 +202,7 @@ def _report(config: dict, outdir: Path, task: str, traces: dict, extra: dict, st
     if exploding:
         print(
             "warning: exploding run: a last consensus error or mean loss is above its first"
-            f" and over {EXPLODING_GROWTH:g} times its column's smallest positive value",
+            f" and over {harness.EXPLODING_GROWTH:g} times its column's smallest positive value",
             file=sys.stderr,
         )
     return 2 if divergent or nonfinite else 0

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 CONSENSUS_METHODS = ("gossip", "gut", "qg-gossip", "qg-gutm")
+# a last error or loss this many times its column's smallest positive value,
+# and above its first, flags a run as exploding
+EXPLODING_GROWTH = 1e12
 
 
 @dataclass
@@ -86,6 +89,18 @@ class MetricTrace:
         r = self.rows[-1]
         values = (r.consensus_error, r.mean_loss, r.avg_model_loss)
         return not all(v is None or math.isfinite(v) for v in values)
+
+    @property
+    def exploding(self) -> bool:
+        """Whether the last consensus error or mean loss exceeds the first
+        row's and is more than EXPLODING_GROWTH times the smallest positive
+        value of its column."""
+        for column in ("consensus_error", "mean_loss"):
+            values = [v for v in (getattr(r, column) for r in self.rows) if v is not None]
+            positive = [v for v in values if v > 0]
+            if positive and values[-1] > max(values[0], EXPLODING_GROWTH * min(positive)):
+                return True
+        return False
 
 
 def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:

@@ -51,15 +51,15 @@ def dirichlet_partition(
     if n_agents < 1 or n_agents > len(labels):
         raise ValueError(f"n_agents must be in [1, {len(labels)}], got {n_agents}")
     # the classes are np.unique's: sorted, every NaN in one.  A class holds
-    # the samples equal to it (the NaN class none), ascending: the argsort
-    # leaves ties unordered, so one sort of class·N + index orders them
+    # the samples equal to it (the NaN class every NaN), ascending: the
+    # argsort leaves ties unordered, so one sort of class·N + index orders them
     order = np.argsort(labels, axis=None)
     ranked = np.take(labels, order)
     real = ranked == ranked  # False only on NaN, which sorts last
     starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]) & real[:-1]])
-    sizes = np.diff(starts, append=np.count_nonzero(real))
+    sizes = np.diff(starts, append=labels.size)
     base = np.repeat(np.arange(len(sizes)) * labels.size, sizes)
-    members = np.sort(base + order[: len(base)]) - base
+    members = np.sort(base + order) - base
     agents = np.tile(np.arange(n_agents) * labels.size, len(sizes))
     alphas, ends = np.full(n_agents, alpha), np.cumsum(sizes).tolist()
     for attempt in range(_MAX_REDRAWS):
@@ -92,21 +92,19 @@ def dirichlet_partition(
 def partition_histogram(
     part: Partition, labels: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Per-agent class-count table plus a label-skew score in [0, 1].
+    """Per-agent class-count table, one column per class of ``np.unique``,
+    plus a label-skew score in [0, 1].
 
     Skew is the mean over agents of 1 - H(agent label distribution) /
     log(n_classes): 0 for perfectly balanced agents, 1 when every agent
     holds a single class.
     """
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, position = np.unique(labels, return_inverse=True)
     table = np.zeros((part.n_agents, len(classes)), dtype=int)
-    class_pos = {int(c): k for k, c in enumerate(classes)}
     for agent, idx in enumerate(part.assignments):
-        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= len(labels):
+        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= len(position):
             raise ValueError(f"agent {agent} holds indices outside the label array")
-        for c, cnt in zip(*np.unique(labels[idx], return_counts=True)):
-            table[agent, class_pos[int(c)]] = cnt
+        table[agent] = np.bincount(position[idx], minlength=len(classes))
     if len(classes) < 2:
         return table, 0.0
     skews = []

@@ -132,11 +132,12 @@ class MixingMatrix:
         return np.take(self._weights, self.slots) * self.real
 
     def mix(self, X: np.ndarray) -> np.ndarray:
-        """W X: dense product below the gather crossover, neighbour gather above."""
+        """W X of any (n, ...) stack: dense product below the gather crossover, gather above."""
         if X.shape[0] != self.n:
             raise ValueError(f"mix needs {self.n} rows, got shape {X.shape}")
         if not self.gather:
-            return self.weights @ X
+            flat = X if X.ndim < 3 else X.reshape(self.n, -1)
+            return (self.weights @ flat).reshape(X.shape)
         key = (X.shape[1:], X.dtype)
         if key not in self._gathered:
             self._gathered[key] = np.empty(self.peers.shape + key[0], X.dtype)

@@ -19,6 +19,7 @@ from decentrack.models import SyntheticProblemSpec, make_quadratic
 from decentrack.topology import build_topology
 
 SRC = Path(decentrack.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_module(args, blas_threads=None):
@@ -197,3 +198,28 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def readme_commands():
+    """The ``decentrack`` commands of the README's "CLI examples" block, split
+    into words, with their backslash continuations joined."""
+    section = README.read_text().split("## CLI examples", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split() for line in lines if line.startswith("decentrack ")]
+
+
+class TestReadmeExamples:
+    def test_one_example_per_documented_subcommand(self):
+        subs = [cmd[1] for cmd in readme_commands()]
+        assert subs == ["topology", "partition", "consensus", "train", "validate"]
+
+    # validate's example runs mu = 0.9, outside the convergence regime, so
+    # it exits 3, the advisory failure
+    @pytest.mark.parametrize(
+        "sub, code", [("topology", 0), ("partition", 0), ("consensus", 0), ("train", 0),
+                      ("validate", 3)],
+    )
+    def test_example_exits_with_documented_code(self, sub, code, tmp_path):
+        (cmd,) = [c for c in readme_commands() if c[1] == sub]
+        assert cli_main([*cmd[1:], f"--run.output_dir={tmp_path}"]) == code

@@ -119,6 +119,21 @@ class TestMix:
         X = np.random.default_rng(2).standard_normal((n, 5))
         assert np.max(np.abs(W.mix(X) - w @ X)) <= 1e-14 * np.max(np.abs(X))
 
+    @pytest.mark.parametrize(
+        "kind, n, grid", [("ring", 16, None), ("dyck", 32, None), ("torus", 15, (3, 5)),
+                          ("ring", 256, None)],
+    )
+    def test_stacks_mix_over_agents_on_both_paths(self, kind, n, grid):
+        W = build_topology(kind, n, grid)
+        assert W.gather == (n >= topology.GATHER_MIN_N)
+        rng = np.random.default_rng(n)
+        for shape in ((n, 3, 4), (n, n, 4), (n, 2, 3, 2)):
+            X = rng.standard_normal(shape)
+            out = W.mix(X)
+            assert out.shape == X.shape
+            expected = np.einsum("ij,j...->i...", W.weights, X)
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(X))
+
     def test_crossover_rule(self):
         assert not build_topology("ring", topology.GATHER_MIN_N - 1).gather
         assert build_topology("ring", topology.GATHER_MIN_N).gather

@@ -90,7 +90,8 @@ def _reference_counts(p: np.ndarray, total: int) -> np.ndarray:
 
 def reference_partition(labels, n_agents, alpha, seed, min_per_agent=1):
     """The per-class loop ``dirichlet_partition`` ran before its array passes,
-    kept verbatim as the reference its partitions must equal."""
+    with each class's members taken from ``np.unique``'s inverse, kept as the
+    reference its partitions must equal."""
     labels = np.asarray(labels)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -98,12 +99,12 @@ def reference_partition(labels, n_agents, alpha, seed, min_per_agent=1):
         raise ValueError(
             f"n_agents must be in [1, {len(labels)}], got {n_agents}"
         )
-    classes = np.unique(labels)
+    classes, position = np.unique(labels, return_inverse=True)
     for attempt in range(100):
         rng = np.random.default_rng(seed + attempt)
         buckets: list[list[np.ndarray]] = [[] for _ in range(n_agents)]
-        for c in classes:
-            idx = np.flatnonzero(labels == c)
+        for c in range(len(classes)):
+            idx = np.flatnonzero(position == c)
             rng.shuffle(idx)
             p = rng.dirichlet(np.full(n_agents, alpha))
             counts = _reference_counts(p, len(idx))
@@ -157,7 +158,7 @@ class TestMatchesPerClassLoop:
     @given(partition_cases())
     @example((_REDRAWN, 6, 0.3, 0, 2))  # accepted at the 8th draw
     @example((balanced_labels(2, 10), 10, 0.01, 0, 5))  # exhausts its 100 draws
-    @example((np.array([np.nan, 1.0, np.nan, -0.0, 0.0, 1.0]), 2, 1.0, 3, 0))  # NaN equals no class
+    @example((np.array([np.nan, 1.0, np.nan, -0.0, 0.0, 1.0]), 2, 1.0, 3, 0))  # NaNs: one class
     def test_same_partition(self, case):
         labels, n_agents, alpha, seed, min_per_agent = case
         outcomes = []
@@ -174,6 +175,24 @@ class TestMatchesPerClassLoop:
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+
+class TestCovering:
+    """Every sample lands in exactly one agent, and the histogram counts each
+    agent's samples once, whatever the labels' type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_cases())
+    @example((np.array([0, np.nan, 1, np.nan, 1, 0]), 2, 1.0, 0, 0))
+    @example((np.array(["b", "a", "b", "c", "a"]), 3, 0.1, 4, 0))
+    def test_assignments_cover_every_sample_once(self, case):
+        labels, n_agents, alpha, seed, _ = case
+        part = dirichlet_partition(labels, n_agents, alpha, seed, min_per_agent=0)
+        joined = np.sort(np.concatenate(part.assignments))
+        assert np.array_equal(joined, np.arange(len(labels)))
+        table, _ = partition_histogram(part, labels)
+        assert table.shape == (n_agents, len(np.unique(labels)))
+        assert table.sum(axis=1).tolist() == part.sizes()
 
 
 class TestPartitionHistogram:
@@ -214,6 +233,27 @@ class TestPartitionHistogram:
         part = Partition(assignments=[np.array([0, 1]), np.array([2, index])])
         with pytest.raises(ValueError, match="agent 1 holds indices outside the label array"):
             partition_histogram(part, labels)
+
+    def test_float_classes_keep_their_own_columns(self):
+        # 0.5 and 0.7 are two classes, though both truncate to 0
+        labels = np.array([0.5, 0.7, 0.5, 0.7, 1.5, 1.5])
+        part = dirichlet_partition(labels, 2, alpha=1.0, seed=0, min_per_agent=0)
+        assert [a.tolist() for a in part.assignments] == [[0, 2, 5], [1, 3, 4]]
+        table, _ = partition_histogram(part, labels)
+        assert table.tolist() == [[2, 0, 1], [0, 2, 1]]
+
+    def test_nan_labels_form_one_class(self):
+        labels = np.array([0.0, np.nan, np.nan, 1.0, 1.0, 0.0])
+        part = Partition(assignments=[np.array([0, 1, 2]), np.array([3, 4, 5])])
+        table, _ = partition_histogram(part, labels)
+        assert table.tolist() == [[1, 0, 2], [1, 2, 0]]
+
+    def test_string_labels(self):
+        labels = np.array(["b", "a", "b", "c"])
+        part = Partition(assignments=[np.array([0, 1]), np.array([2, 3])])
+        table, skew = partition_histogram(part, labels)
+        assert table.tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert skew == pytest.approx(1 - math.log(2) / math.log(3))
 
     def test_csv_rendering(self):
         table = np.array([[1, 2], [3, 4]])
