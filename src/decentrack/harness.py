@@ -114,6 +114,8 @@ def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"consensus_error takes an (n,) or (n, d) stack, got shape {X.shape}")
     n, d = X.shape
     mean = np.einsum("ij->j", X) / n if d > 1 and X.flags.c_contiguous else X.mean(axis=0)
     centered = np.subtract(X, mean, out=out)
@@ -153,10 +155,11 @@ def run_consensus(
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
     # round 1's X_prev is X itself, so its W X_prev is that round's W X
     Xp, WXp = X, None
-    M = np.zeros_like(X)
     centred = np.empty_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
+    if use_momentum:
+        M = np.zeros_like(X)
     # divergence at aggressive mu, and squares that overflow from round 0 on,
     # are intended conditions: they show in the trace, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,10 +246,9 @@ def run_training(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         x0 = 0.1 * rng.standard_normal(d)
-        X0 = np.tile(x0, (W.n, 1))
         oracle = models.make_oracle(problem, batch_size, seed=seed)
-        states = init_states(X0, W)
-        centred = np.empty_like(X0)
+        states = init_states(np.broadcast_to(x0, (W.n, d)), W)
+        centred = np.empty_like(states.X)
         rows: list[TraceRow] = []
         divergent = False
         # overflow on a diverging run is expected and surfaces as the

@@ -35,6 +35,16 @@ STOCHASTIC_TOL = 1e-12
 # torus-1024 2250 / 339.  At d = 1 both stay below 16 us up to n = 256.
 GATHER_MIN_N = 160
 
+# Gather block budget.  Above the crossover ``mix`` gathers equal blocks of
+# rows through one buffer of at most this many bytes (or one row's gather,
+# if larger), so the kept scratch does not grow with n or the trailing
+# axes.  Same host, one call repeated, interleaved medians in us, one
+# gather of all rows / blocks: ring-1024 (1024, 200) 798 / 649, ring-1024
+# (1024, 32, 16) 2220 / 1707, torus-4096 d = 32 894 / 798, ring-1024
+# d = 32 (4 blocks) 103 / 110, ring-160 d = 200 69 / 78, ring-256 d = 8
+# (1 block) 14 / 15.
+GATHER_BLOCK_BYTES = 2**18
+
 # Chords of the Dyck graph on 32 vertices (0-indexed endpoint pairs),
 # added on top of the 32-cycle.  Every vertex sits on exactly one chord,
 # so the graph is 3-regular before self-loops.
@@ -71,9 +81,10 @@ class MixingMatrix:
     ``weights`` is built from the table on first read; once read or
     assigned it is what ``mix`` reads at call time, so it may be changed or
     reassigned as long as its nonzero pattern stays that of ``edges``.  The
-    gather keeps one (n, 1 + max degree, *trailing) buffer per trailing
-    shape and dtype, so one matrix must not ``mix`` in two threads at once;
-    it suits sparse graphs.
+    gather runs in blocks of rows and keeps one (rows, 1 + max degree,
+    *trailing) buffer per trailing shape and dtype, with rows chosen so the
+    buffer fits ``GATHER_BLOCK_BYTES``; so one matrix must not ``mix`` in
+    two threads at once.  It suits sparse graphs.
     """
 
     def __init__(
@@ -133,18 +144,29 @@ class MixingMatrix:
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """W X of any (n, ...) stack: dense product below the gather crossover, gather above."""
-        if X.shape[0] != self.n:
+        if X.ndim == 0 or X.shape[0] != self.n:
             raise ValueError(f"mix needs {self.n} rows, got shape {X.shape}")
         if not self.gather:
             flat = X if X.ndim < 3 else X.reshape(self.n, -1)
             return (self.weights @ flat).reshape(X.shape)
         key = (X.shape[1:], X.dtype)
         if key not in self._gathered:
-            self._gathered[key] = np.empty(self.peers.shape + key[0], X.dtype)
-        # the same array as X[self.peers]; under mode="raise" numpy fills a
-        # temporary and copies it into out, and peers are valid indices
-        gathered = np.take(X, self.peers, axis=0, out=self._gathered[key], mode="clip")
-        return np.einsum("nk,nk...->n...", self.peer_weights, gathered)
+            row_bytes = X[:1].nbytes * self.peers.shape[1]
+            fit = max(1, GATHER_BLOCK_BYTES // row_bytes) if row_bytes else self.n
+            blocks = -(-self.n // fit)
+            rows = -(-self.n // blocks)  # equal blocks but the last, none above fit
+            self._gathered[key] = np.empty((rows,) + self.peers.shape[1:] + key[0], X.dtype)
+        scratch = self._gathered[key]
+        w = self.peer_weights
+        out = np.empty(X.shape, np.result_type(w, X))
+        for start in range(0, self.n, len(scratch)):
+            block = slice(start, start + len(scratch))
+            peers = self.peers[block]
+            # the block's rows of X[self.peers]; under mode="raise" numpy fills
+            # a temporary and copies it into out, and peers are valid indices
+            g = np.take(X, peers, axis=0, out=scratch[: len(peers)], mode="clip")
+            np.einsum("nk,nk...->n...", w[block], g, out=out[block])
+        return out
 
     def degree(self, i: int) -> int:
         """Number of neighbors of agent ``i``, excluding itself."""

@@ -59,6 +59,11 @@ class TestConsensusError:
         for x in (np.array([0.0, 1.0, 2.0, 3.0]), np.arange(7.0) ** 3):
             assert consensus_error(x) == consensus_error(x[:, None])
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (), (3, 1, 1, 1)])
+    def test_other_shapes_name_the_accepted_ones(self, shape):
+        with pytest.raises(ValueError, match=r"\(n,\) or \(n, d\)"):
+            consensus_error(np.ones(shape))
+
 
 class TestConsensusErrorBuffer:
     @pytest.mark.parametrize(

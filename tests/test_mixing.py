@@ -343,6 +343,61 @@ class TestGatherBuffer:
         assert list(W._gathered.values()) == [buffer]
         assert buffer.shape == (256, 3, 8)
 
+    BLOCKED_GRAPHS = {
+        "ring1031": lambda: build_topology("ring", 1031),
+        "torus32x32": lambda: build_topology("torus", 1024, grid=(32, 32)),
+        "irregular512": lambda: irregular_graph(512, 80, 3),
+    }
+    STACKS = [(), (200,), (4, 3), (0,), (32, 16)]
+
+    @staticmethod
+    def one_shot(W, X):
+        return np.einsum("nk,nk...->n...", W.peer_weights, X[W.peers])
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_GRAPHS))
+    def test_blocks_are_bit_equal_to_one_gather(self, name):
+        W = self.BLOCKED_GRAPHS[name]()
+        assert W.gather and (name != "irregular512" or np.any(W.real == 0))
+        rng = np.random.default_rng(11)
+        for trailing in self.STACKS:
+            X = rng.standard_normal((W.n, *trailing))
+            out = W.mix(X)
+            assert out.shape == X.shape and np.array_equal(out, self.one_shot(W, X))
+        X = rng.standard_normal((W.n, 200))
+        for sample in (X.astype(np.float32), X[:, ::2]):
+            out = W.mix(sample)
+            assert out.dtype == np.float64 and np.array_equal(out, self.one_shot(W, sample))
+        # more than one block on every graph, the last ragged on ring-1031
+        rows = len(W._gathered[((200,), np.dtype(float))])
+        assert rows < W.n
+        assert name != "ring1031" or W.n % rows
+
+    def test_blocks_read_reassigned_weights(self):
+        W = build_topology("ring", 1031)
+        X = np.random.default_rng(12).standard_normal((1031, 200))
+        W.weights = W.weights.copy()
+        W.weights[3, [3, 4, 2]] = [0.5, 0.3, 0.2]
+        assert np.array_equal(W.mix(X), self.one_shot(W, X))
+        assert np.max(np.abs(W.mix(X) - W.weights @ X)) <= 1e-14 * np.max(np.abs(X))
+
+    @pytest.mark.parametrize("budget", [topology.GATHER_BLOCK_BYTES, 64])
+    def test_kept_scratch_fits_the_block_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(topology, "GATHER_BLOCK_BYTES", budget)
+        for W in (build_topology("ring", 1024), build_topology("ring", 1031),
+                  build_topology("torus", 1024), irregular_graph(512, 80, 3)):
+            rng = np.random.default_rng(W.n)
+            for trailing in self.STACKS + [(32,), (7,)]:
+                X = rng.standard_normal((W.n, *trailing))
+                assert np.array_equal(W.mix(X), self.one_shot(W, X))
+            for buffer in W._gathered.values():
+                one_row = buffer[:1].nbytes
+                assert buffer.nbytes <= max(budget, one_row)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_0d_input_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match=f"mix needs {n} rows"):
+            build_topology("ring", n).mix(np.array(1.0))
+
 
 def quad_oracle(b):
     def oracle(X, rnd):
