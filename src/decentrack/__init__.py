@@ -34,7 +34,6 @@ from .models import (
     finite_diff_check,
     make_oracle,
     make_problem,
-    make_quadratic,
 )
 from .partition import Partition, dirichlet_partition, partition_histogram
 from .topology import (
@@ -72,7 +71,6 @@ __all__ = [
     "init_states",
     "make_oracle",
     "make_problem",
-    "make_quadratic",
     "partition_histogram",
     "run_consensus",
     "run_round",

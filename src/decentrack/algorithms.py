@@ -2,9 +2,10 @@
 
 The rules are one table, ``RULES``: for each kind it names the point the
 gradient is taken at, the vectors each agent sends per round and the
-round's arithmetic.  ``run_round`` is the one frame around them: it reads
-the step size, calls the oracle once and applies the rule to one stacked
-``State`` of all agents.  The update-tracking family (GUT and its momentum
+round's arithmetic.  ``run_round`` is the one frame around them: it calls
+the oracle once and applies the rule at step ``spec.eta`` to one stacked
+``State`` of all agents; a caller that varies the step passes each round
+its own spec.  The update-tracking family (GUT and its momentum
 variants) evaluates gradients at the gossip-mixed point
 ``s_i = sum_j w_ij x_j`` and transmits a single vector per round; the
 baselines evaluate at the local parameters.  Nesterov look-ahead variants
@@ -14,7 +15,7 @@ one per vector sent: the tracked kinds derive W sent from W x - W x'.
 Four algebraically equivalent formulations of the tracked update are
 provided so that their trajectories can be cross-checked:
 
-* ``GUT``         per-agent recursion with neighbor copies,
+* ``GUT``         x' built around the mixed point as s - eta*(g + mc),
 * ``GUT-matrix``  the stacked two-line recursion X' = X - eta*Y,
 * ``GUT-bias``    the bias-correction form X' = WX - eta*(G + mu*B),
 * ``GUT-memeff``  O(1) extra memory, keeping only the running aggregate s.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -99,19 +100,12 @@ class AlgorithmSpec:
     eta: float
     mu: float = 0.0
     beta: float = 0.0
-    eta_schedule: Callable[[int], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
         check_eta(self.eta)
         check_mu_beta(self.mu, self.beta)
-
-    def lr(self, rnd: int) -> float:
-        eta = self.eta_schedule(rnd) if self.eta_schedule is not None else self.eta
-        if eta <= 0:
-            raise ValueError(f"eta schedule produced non-positive step at t={rnd}")
-        return eta
 
 
 @dataclass
@@ -327,17 +321,16 @@ KINDS = tuple(RULES)
 
 
 def run_round(state: State, W, spec, oracle) -> State:
-    """One synchronous round of spec.kind, with one oracle call.
+    """One synchronous round of spec.kind at step spec.eta, with one oracle call.
 
     The returned state carries the oracle's losses.  Overflow is not a
     warning here: divergence is an intended experimental condition,
     detected and raised as DivergenceError.
     """
     rule = RULES[spec.kind]
-    eta = spec.lr(state.round)
     with np.errstate(over="ignore", invalid="ignore"):
         losses, G = oracle(getattr(state, rule.at), state.round)
-        return state.advance(losses=losses, **rule.step(state, W, G, eta, spec.mu, spec.beta))
+        return state.advance(losses=losses, **rule.step(state, W, G, spec.eta, spec.mu, spec.beta))
 
 
 @dataclass

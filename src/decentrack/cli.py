@@ -433,13 +433,12 @@ def _cmd_equivalence(config: dict, outdir: Path) -> int:
 
 def _cmd_validate(config: dict, outdir: Path) -> int:
     W = _build_topology(config)
+    # the spec train would run, so both subcommands reject the same configs
+    spec = _algorithm_spec(config)
     stats = topology.spectral_stats(W)
     mixing = topology.validate_mixing(W)
     check = algorithms.validate_hyperparameters(
-        eta=config["algorithm.eta"],
-        mu=config["algorithm.mu"],
-        rho=stats.rho,
-        L=config["problem.L"],
+        eta=spec.eta, mu=spec.mu, rho=stats.rho, L=config["problem.L"]
     )
     doc = {
         "rho": stats.rho,

@@ -227,8 +227,9 @@ def run_training(
     """Synchronous decentralized training, repeated per seed.
 
     All agents start from one shared parameter vector.  The averaged
-    (consensus) model is evaluated every ``eval_every`` rounds; the step
-    size drops 10x at 50% and 75% of T when ``decay`` is set.
+    (consensus) model is evaluated every ``eval_every`` rounds.  Round t
+    runs at step spec.eta, or, when ``decay`` is set, on a copy of spec at
+    ``decayed_schedule(spec.eta, T)(t)``: 10x lower at 50% and 75% of T.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -236,8 +237,7 @@ def run_training(
         raise ValueError(f"T must be >= 1, got {T}")
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-    if decay and spec.eta_schedule is None:
-        spec = dataclasses.replace(spec, eta_schedule=decayed_schedule(spec.eta, T))
+    schedule = decayed_schedule(spec.eta, T)
     d = problem.dim
     scalars_per_round = comm_cost(spec, d, W)
     # what round 0 sends less than a later round (GT's first y is local)
@@ -255,8 +255,10 @@ def run_training(
         # divergent flag, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(T):
+                # a copy of spec per decayed round, so every step passes its checks
+                round_spec = dataclasses.replace(spec, eta=schedule(t)) if decay else spec
                 try:
-                    states = run_round(states, W, spec, oracle)
+                    states = run_round(states, W, round_spec, oracle)
                 except DivergenceError:
                     divergent = True
                     break
@@ -264,7 +266,7 @@ def run_training(
                     round=t,
                     consensus_error=consensus_error(states.X, centred),
                     mean_loss=float(np.mean(states.losses)),
-                    eta=spec.lr(t),
+                    eta=round_spec.eta,
                     comm_scalars=scalars_per_round * (t + 1) - unsent,
                 )
                 if (t + 1) % eval_every == 0 or t == T - 1:
@@ -322,8 +324,8 @@ def check_equivalence(
     """Run all four tracked-update formulations on one gradient stream.
 
     Agents start from a shared parameter vector; the report carries the
-    max relative parameter deviation of each formulation from the
-    per-agent reference over all rounds.  A diverging run is compared up
+    max relative parameter deviation of each formulation from the GUT
+    reference over all rounds.  A diverging run is compared up
     to the round in which the reference turns non-finite; a formulation
     that diverges in another round, or a comparison of zero rounds,
     counts as an infinite deviation.

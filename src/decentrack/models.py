@@ -59,7 +59,6 @@ __all__ = [
     "SoftmaxProblem",
     "MlpProblem",
     "make_problem",
-    "make_quadratic",
     "finite_diff_check",
     "make_oracle",
 ]
@@ -431,11 +430,6 @@ class Problem:
             raise ValueError(
                 f"non-finite parameters supplied to agent {int(np.argmin(finite))}"
             )
-
-    def global_loss(self, params: np.ndarray) -> float:
-        return float(
-            np.mean([self.exact_loss_and_grad(i, params)[0] for i in range(self.n_agents)])
-        )
 
     def evaluate(self, params: np.ndarray) -> tuple[float, float | None]:
         raise NotImplementedError
@@ -838,12 +832,6 @@ class MlpProblem(_ClassificationProblem):
             parts = dw1.reshape(g, -1), dz1.sum(axis=1), dw2.reshape(g, -1), dz2.sum(axis=1)
             grads[agents] = np.concatenate(parts, axis=1)
         return losses, grads
-
-
-def make_quadratic(spec: SyntheticProblemSpec) -> QuadraticProblem:
-    if spec.kind != "quadratic":
-        raise ValueError(f"make_quadratic got kind {spec.kind!r}")
-    return QuadraticProblem(spec)
 
 
 def make_problem(spec: SyntheticProblemSpec, assignments=None) -> Problem:

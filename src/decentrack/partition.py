@@ -28,9 +28,6 @@ class Partition:
     def n_agents(self) -> int:
         return len(self.assignments)
 
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignments]
-
 
 def dirichlet_partition(
     labels: np.ndarray,

@@ -80,7 +80,8 @@ class MixingMatrix:
     (min, max) pairs, is read back from the table on first use.  The dense
     ``weights`` is built from the table on first read; once read or
     assigned it is what ``mix`` reads at call time, so it may be changed or
-    reassigned as long as its nonzero pattern stays that of ``edges``.  The
+    reassigned, to an (n, n) array only, as long as its nonzero pattern
+    stays that of ``edges``.  The
     gather runs in blocks of rows and keeps one (rows, 1 + max degree,
     *trailing) buffer per trailing shape and dtype, with rows chosen so the
     buffer fits ``GATHER_BLOCK_BYTES``; so one matrix must not ``mix`` in
@@ -134,6 +135,10 @@ class MixingMatrix:
 
     @weights.setter
     def weights(self, weights: np.ndarray):
+        if np.shape(weights) != (self.n, self.n):
+            raise ValueError(
+                f"weights must be ({self.n}, {self.n}), got shape {np.shape(weights)}"
+            )
         self._weights = weights
 
     @property
@@ -167,13 +172,6 @@ class MixingMatrix:
             g = np.take(X, peers, axis=0, out=scratch[: len(peers)], mode="clip")
             np.einsum("nk,nk...->n...", w[block], g, out=out[block])
         return out
-
-    def degree(self, i: int) -> int:
-        """Number of neighbors of agent ``i``, excluding itself."""
-        return int(self.degrees[i])
-
-    def neighbors(self, i: int) -> list[int]:
-        return self.peers[i, 1 : 1 + self.degrees[i]].tolist()
 
 
 @dataclass

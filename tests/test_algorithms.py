@@ -12,7 +12,7 @@ from decentrack.algorithms import (
     run_round,
     validate_hyperparameters,
 )
-from decentrack.models import SyntheticProblemSpec, make_oracle, make_quadratic
+from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
 from decentrack.topology import as_mixing, build_topology
 
 UNIFORM2 = as_mixing(np.full((2, 2), 0.5))
@@ -32,11 +32,13 @@ def quad_oracle(b):
     return oracle
 
 
-def run_trajectory(kind, W, X0, oracle, T, **hp):
-    spec = AlgorithmSpec(kind=kind, **hp)
+def run_trajectory(kind, W, X0, oracle, T, eta, **hp):
+    """The iterates of T rounds; ``eta`` is a step size or a schedule t -> step,
+    run as one spec per round."""
     states = init_states(np.asarray(X0, dtype=float), W)
     out = []
-    for _ in range(T):
+    for t in range(T):
+        spec = AlgorithmSpec(kind=kind, eta=eta(t) if callable(eta) else eta, **hp)
         states = run_round(states, W, spec, oracle)
         out.append(states.X)
     return out
@@ -276,10 +278,7 @@ class TestMomentumTranscriptions:
         b = rng.standard_normal((8, 3))
         hp = dict(mu=0.15, beta=0.9)
         for step in (0.05, cycling_step):
-            schedule = step if callable(step) else None
-            traj = run_trajectory(
-                kind, W, X0, quad_oracle(b), T=200, eta=0.05, eta_schedule=schedule, **hp
-            )
+            traj = run_trajectory(kind, W, X0, quad_oracle(b), T=200, eta=step, **hp)
             ref = transcription(kind, W.weights, X0, b, T=200, eta=step, **hp)
             for X, R in zip(traj, ref):
                 # 1e-12 absolute while the iterate stays below 100; at beta = 0.9
@@ -418,7 +417,7 @@ class TestInPlaceRounds:
     @pytest.mark.parametrize("kind", ["GUT", "GUT-matrix", "RuleA", "RuleB"])
     def test_match_fresh_array_expressions(self, kind, n):
         W = build_topology("ring", n)
-        prob = make_quadratic(
+        prob = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=5, n_agents=n, zeta=1.0, sigma=0.1, seed=3)
         )
         oracle = make_oracle(prob, seed=9)
@@ -499,7 +498,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", ["GUT", "QG-GUTm", "DSGD", "GT", "RuleA"])
     def test_replay_is_bit_identical(self, kind):
         W = build_topology("ring", 8)
-        prob = make_quadratic(
+        prob = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         X0 = np.random.default_rng(14).standard_normal((8, 3))
@@ -569,8 +568,3 @@ class TestAlgorithmSpec:
     def test_invalid_specs(self, kw):
         with pytest.raises(ValueError):
             AlgorithmSpec(**kw)
-
-    def test_schedule_used(self):
-        spec = AlgorithmSpec(kind="GUT", eta=0.1, eta_schedule=lambda t: 0.1 if t < 5 else 0.01)
-        assert spec.lr(0) == 0.1
-        assert spec.lr(9) == 0.01

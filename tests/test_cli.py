@@ -535,6 +535,25 @@ class TestValidateSubcommand:
             f"--run.output_dir={tmp_path / 'out'}",
         ) == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--algorithm.mu=-0.5", "--algorithm.eta=0.001"), "mu must lie in [0, 1), got -0.5"),
+            (("--algorithm.kind=NOPE",), "unknown algorithm kind 'NOPE'"),
+            (("--algorithm.beta=1.5",), "beta must lie in [0, 1), got 1.5"),
+            (("--algorithm.mu=1.5",), "mu must lie in [0, 1), got 1.5"),
+        ],
+    )
+    def test_spec_that_train_rejects_is_config_error(self, tmp_path, capsys, flags, message):
+        errors = {}
+        for command in ("train", "validate"):
+            out = tmp_path / command
+            flags_run = ("--problem.kind=quadratic", "--run.rounds=1", f"--run.output_dir={out}")
+            assert run_cli(command, *flags, *flags_run) == 1, command
+            errors[command] = capsys.readouterr().err
+            assert not out.exists()
+        assert errors["validate"] == errors["train"] == f"error: {message}\n"
+
 
 class TestEmitPlot:
     def trace(self, errors):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decentrack.algorithms import AlgorithmSpec, init_states, run_round
 from decentrack.harness import CONSENSUS_METHODS, run_consensus, run_training
-from decentrack.models import SyntheticProblemSpec, make_quadratic
+from decentrack.models import SyntheticProblemSpec, make_problem
 from decentrack.topology import GATHER_MIN_N, build_topology
 from test_mixing import gather_graphs, irregular_graph
 
@@ -226,7 +226,7 @@ class TestInputChecks:
 class TestTrainingChecks:
     W = build_topology("ring", 16)
     spec = AlgorithmSpec(kind="DSGD", eta=0.1)
-    problem = make_quadratic(
+    problem = make_problem(
         SyntheticProblemSpec(kind="quadratic", d=3, n_agents=16, zeta=0.0, sigma=0.0, seed=0)
     )
 

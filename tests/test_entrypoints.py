@@ -15,7 +15,7 @@ from decentrack import harness
 from decentrack.algorithms import AlgorithmSpec, DivergenceError
 from decentrack.cli import main as cli_main
 from decentrack.harness import check_equivalence
-from decentrack.models import SyntheticProblemSpec, make_quadratic
+from decentrack.models import SyntheticProblemSpec, make_problem
 from decentrack.topology import build_topology
 
 SRC = Path(decentrack.__file__).resolve().parents[1]
@@ -46,7 +46,7 @@ class TestDivergence:
 
     def test_equivalence_compares_diverging_run_up_to_blow_up(self):
         W = build_topology("ring", 8)
-        problem = make_quadratic(
+        problem = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=4, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         report = check_equivalence(
@@ -59,7 +59,7 @@ class TestDivergence:
 
     def test_stable_run_compares_all_rounds(self):
         W = build_topology("ring", 8)
-        problem = make_quadratic(
+        problem = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         report = check_equivalence(W, problem, AlgorithmSpec(kind="GUT", eta=0.05, mu=0.1), T=30)
@@ -86,7 +86,7 @@ class TestDivergence:
 
         monkeypatch.setattr(harness, "run_round", failing_run_round)
         W = build_topology("ring", 8)
-        problem = make_quadratic(
+        problem = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         report = check_equivalence(W, problem, AlgorithmSpec(kind="GUT", eta=0.05, mu=0.1), T=30)

@@ -13,7 +13,7 @@ from decentrack.harness import (
     run_consensus,
     run_training,
 )
-from decentrack.models import SyntheticProblemSpec, make_problem, make_quadratic
+from decentrack.models import SyntheticProblemSpec, make_problem
 from decentrack.topology import as_mixing, build_topology
 
 COMPLETE2 = as_mixing(np.full((2, 2), 0.5))
@@ -406,7 +406,7 @@ class TestRunTraining:
     def quad_problem(self, **kw):
         base = dict(kind="quadratic", d=4, n_agents=16, zeta=0.0, sigma=0.0, seed=0)
         base.update(kw)
-        return make_quadratic(SyntheticProblemSpec(**base))
+        return make_problem(SyntheticProblemSpec(**base))
 
     def test_iid_noiseless_reaches_optimum(self):
         W = build_topology("ring", 16)
@@ -464,7 +464,7 @@ class TestRunTraining:
         for _ in range(2):
             result = run_training(
                 build_topology("ring", 16),
-                make_quadratic(spec),
+                make_problem(spec),
                 AlgorithmSpec(kind="QG-GUTm", eta=0.05, mu=0.05, beta=0.9),
                 T=30, batch_size=None, seeds=(1, 2), eval_every=10,
             )
@@ -502,7 +502,7 @@ def spectral_gap_eta(W):
 class TestCheckEquivalence:
     def test_mu_zero_near_exact(self):
         W = build_topology("ring", 8)
-        problem = make_quadratic(
+        problem = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         report = check_equivalence(
@@ -512,7 +512,7 @@ class TestCheckEquivalence:
 
     def test_zero_tolerance_fails(self):
         W = build_topology("ring", 8)
-        problem = make_quadratic(
+        problem = make_problem(
             SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
         )
         report = check_equivalence(

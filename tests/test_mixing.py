@@ -107,6 +107,16 @@ class TestMix:
         W.weights[0, [0, 1, n - 1]] = [0.5, 0.25, 0.25]
         assert np.max(np.abs(W.mix(X) - W.weights @ X)) <= 1e-14 * np.max(np.abs(X))
 
+    @pytest.mark.parametrize("n", [16, 256])  # dense and gather mixing
+    def test_wrongly_shaped_weights_rejected(self, n):
+        W = build_topology("ring", n)
+        X = np.random.default_rng(0).standard_normal((n, 3))
+        mixed = W.mix(X)
+        for bad in (np.eye(5), np.eye(n)[:, :-1], np.ones(n), np.eye(n + 1)):
+            with pytest.raises(ValueError, match=rf"weights must be \({n}, {n}\), got shape"):
+                W.weights = bad
+        assert np.array_equal(W.mix(X), mixed)
+
     def test_gather_keeps_negative_weights(self):
         n = 256
         i = np.arange(n)
@@ -191,16 +201,16 @@ class TestNeighbourTable:
     def test_degree_and_neighbors_match_edge_scan(self, kind, n, grid):
         W = irregular_graph(n) if kind == "irregular" else build_topology(kind, n, grid)
         for i in range(W.n):
-            assert W.degree(i) == edge_scan_degree(W, i)
-            assert W.neighbors(i) == edge_scan_neighbors(W, i)
+            assert W.degrees[i] == edge_scan_degree(W, i)
+            assert W.peers[i, 1 : 1 + W.degrees[i]].tolist() == edge_scan_neighbors(W, i)
 
     def test_padding_points_at_self_with_zero_weight(self):
         W = irregular_graph()
         width = W.peers.shape[1]
         for i in range(W.n):
-            pad = slice(1 + W.degree(i), width)
+            pad = slice(1 + W.degrees[i], width)
             assert np.all(W.peers[i, pad] == i)
-            assert np.all(W.real[i, pad] == 0) and np.all(W.real[i, : 1 + W.degree(i)] == 1)
+            assert np.all(W.real[i, pad] == 0) and np.all(W.real[i, : 1 + W.degrees[i]] == 1)
         assert np.allclose(W.mix(np.ones(W.n)), 1.0)
 
     def test_comm_cost_irregular_mean_degree(self):

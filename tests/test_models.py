@@ -14,7 +14,6 @@ from decentrack.models import (
     finite_diff_check,
     make_oracle,
     make_problem,
-    make_quadratic,
 )
 
 
@@ -26,12 +25,12 @@ def quad_spec(**kw):
 
 class TestQuadratic:
     def test_two_agent_unit_zeta_offsets(self):
-        prob = make_quadratic(quad_spec(n_agents=2, d=1))
+        prob = make_problem(quad_spec(n_agents=2, d=1))
         b_bar = prob.x_star
         assert sorted(np.ravel(prob.b - b_bar)) == pytest.approx([-1.0, 1.0])
 
     def test_gradient_deviation_equals_zeta(self):
-        prob = make_quadratic(quad_spec(zeta=1.7))
+        prob = make_problem(quad_spec(zeta=1.7))
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.standard_normal(prob.dim)
@@ -42,7 +41,7 @@ class TestQuadratic:
             assert dev == pytest.approx(1.7**2, abs=1e-10)
 
     def test_zeta_zero_identical_objectives(self):
-        prob = make_quadratic(quad_spec(zeta=0.0))
+        prob = make_problem(quad_spec(zeta=0.0))
         x = np.ones(prob.dim)
         ref = prob.exact_loss_and_grad(0, x)
         for i in range(1, prob.n_agents):
@@ -51,7 +50,7 @@ class TestQuadratic:
             assert np.array_equal(grad, ref[1])
 
     def test_optimum(self):
-        prob = make_quadratic(quad_spec(zeta=0.5))
+        prob = make_problem(quad_spec(zeta=0.5))
         grads = np.stack(
             [prob.exact_loss_and_grad(i, prob.x_star)[1] for i in range(prob.n_agents)]
         )
@@ -60,14 +59,14 @@ class TestQuadratic:
 
     def test_hand_loss_and_grad(self):
         # f(x) = 0.5 (x - 1)^2 at x = 2
-        prob = make_quadratic(quad_spec(n_agents=2, d=1, zeta=0.0))
+        prob = make_problem(quad_spec(n_agents=2, d=1, zeta=0.0))
         prob.b = np.array([[1.0], [1.0]])
         batch = prob.draw_batch(0, rnd=0)
         loss, grad = prob.loss_and_grad(0, np.array([2.0]), batch)
         assert (loss, grad[0]) == (0.5, 1.0)
 
     def test_smoothness_exact(self):
-        prob = make_quadratic(quad_spec())
+        prob = make_problem(quad_spec())
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((2, prob.dim))
         gx = prob.exact_loss_and_grad(3, x)[1]
@@ -76,10 +75,10 @@ class TestQuadratic:
 
     def test_zeta_requires_two_agents(self):
         with pytest.raises(ValueError, match="at least 2 agents"):
-            make_quadratic(quad_spec(n_agents=1, zeta=1.0))
+            make_problem(quad_spec(n_agents=1, zeta=1.0))
 
     def test_non_finite_params_rejected(self):
-        prob = make_quadratic(quad_spec())
+        prob = make_problem(quad_spec())
         batch = prob.draw_batch(0, rnd=0)
         with pytest.raises(ValueError, match="non-finite"):
             prob.loss_and_grad(0, np.full(prob.dim, np.nan), batch)
@@ -89,7 +88,7 @@ class TestCurvature:
     """f_i = (L/2) ||x - b_i||^2 at L = 2.5."""
 
     def test_oracle_matches_per_agent_reference(self):
-        prob = make_quadratic(quad_spec(L=2.5, sigma=0.3))
+        prob = make_problem(quad_spec(L=2.5, sigma=0.3))
         X = np.random.default_rng(5).standard_normal((prob.n_agents, prob.dim))
         losses, G = make_oracle(prob, seed=4)(X, 7)
         for i in range(prob.n_agents):
@@ -98,20 +97,20 @@ class TestCurvature:
             assert np.array_equal(G[i], grad)
 
     def test_noise_free_gradient_is_scaled_residual(self):
-        prob = make_quadratic(quad_spec(L=2.5))
+        prob = make_problem(quad_spec(L=2.5))
         X = np.random.default_rng(5).standard_normal((prob.n_agents, prob.dim))
         losses, G = make_oracle(prob)(X, 0)
         assert np.array_equal(G, 2.5 * (X - prob.b))
         assert np.allclose(losses, 1.25 * np.sum((X - prob.b) ** 2, axis=1), rtol=1e-14, atol=0)
 
     def test_gradients_match_central_differences(self):
-        prob = make_quadratic(quad_spec(L=2.5))
+        prob = make_problem(quad_spec(L=2.5))
         rng = np.random.default_rng(3)
         for _ in range(3):
             assert finite_diff_check(prob, rng.standard_normal(prob.dim), eps=1e-5) <= 1e-8
 
     def test_optimum_value(self):
-        prob = make_quadratic(quad_spec(L=2.5, zeta=0.8))
+        prob = make_problem(quad_spec(L=2.5, zeta=0.8))
         assert prob.f_star == 0.5 * 2.5 * 0.8**2
         assert prob.global_loss(prob.x_star) == prob.f_star
         x = np.random.default_rng(6).standard_normal(prob.dim)
@@ -121,7 +120,7 @@ class TestCurvature:
 
 class TestNoiseSubstreams:
     def test_same_key_same_noise(self):
-        prob = make_quadratic(quad_spec(sigma=0.3))
+        prob = make_problem(quad_spec(sigma=0.3))
         x = np.zeros(prob.dim)
         b = prob.draw_batch(2, rnd=5)
         g1 = prob.loss_and_grad(2, x, b)[1]
@@ -129,7 +128,7 @@ class TestNoiseSubstreams:
         assert np.array_equal(g1, g2)
 
     def test_distinct_keys_distinct_noise(self):
-        prob = make_quadratic(quad_spec(sigma=0.3))
+        prob = make_problem(quad_spec(sigma=0.3))
         x = np.zeros(prob.dim)
         g_a = prob.loss_and_grad(0, x, prob.draw_batch(0, rnd=0))[1]
         g_b = prob.loss_and_grad(0, x, prob.draw_batch(0, rnd=1))[1]
@@ -138,7 +137,7 @@ class TestNoiseSubstreams:
         assert not np.array_equal(g_a, g_c)
 
     def test_oracle_seed_changes_stream(self):
-        prob = make_quadratic(quad_spec(sigma=0.3))
+        prob = make_problem(quad_spec(sigma=0.3))
         X = np.zeros((prob.n_agents, prob.dim))
         o1 = make_oracle(prob, seed=1)
         o2 = make_oracle(prob, seed=2)
@@ -146,7 +145,7 @@ class TestNoiseSubstreams:
 
     def test_unbiased_gradient(self):
         sigma = 0.1
-        prob = make_quadratic(quad_spec(d=1, sigma=sigma))
+        prob = make_problem(quad_spec(d=1, sigma=sigma))
         x = np.array([0.7])
         exact = prob.exact_loss_and_grad(0, x)[1]
         draws = 10**4
@@ -190,7 +189,7 @@ class TestClassification:
         assert np.mean(accs) == pytest.approx(0.1, abs=0.05)
 
     def test_quadratic_reports_no_accuracy(self):
-        prob = make_quadratic(quad_spec())
+        prob = make_problem(quad_spec())
         loss, acc = prob.evaluate(np.zeros(prob.dim))
         assert acc is None
         assert loss == prob.global_loss(np.zeros(prob.dim))
@@ -249,7 +248,7 @@ class TestFiniteDiffCheck:
     )
     def test_gradients_match_central_differences(self, kind, bound):
         if kind == "quadratic":
-            prob = make_quadratic(quad_spec())
+            prob = make_problem(quad_spec())
         else:
             prob = make_problem(classification_spec(kind))
         rng = np.random.default_rng(3)
@@ -258,7 +257,7 @@ class TestFiniteDiffCheck:
             assert finite_diff_check(prob, params, eps=1e-5) <= bound
 
     def test_eps_range_enforced(self):
-        prob = make_quadratic(quad_spec())
+        prob = make_problem(quad_spec())
         with pytest.raises(ValueError, match="eps"):
             finite_diff_check(prob, np.zeros(prob.dim), eps=1e-2)
 

@@ -26,7 +26,7 @@ class TestDirichletPartition:
     def test_large_alpha_near_uniform(self):
         labels = balanced_labels(10, 10000)
         part = dirichlet_partition(labels, 16, alpha=1e6, seed=3)
-        for size in part.sizes():
+        for size in [len(a) for a in part.assignments]:
             assert abs(size - 625) <= 62.5
 
     def test_tiny_alpha_concentrates_each_class(self):
@@ -62,7 +62,7 @@ class TestDirichletPartition:
     def test_min_per_agent_respected(self):
         labels = balanced_labels(10, 1000)
         part = dirichlet_partition(labels, 8, alpha=0.05, seed=1, min_per_agent=3)
-        assert min(part.sizes()) >= 3
+        assert min([len(a) for a in part.assignments]) >= 3
 
     def test_redraw_budget_exhaustion_names_combination(self):
         labels = balanced_labels(2, 10)
@@ -192,7 +192,7 @@ class TestCovering:
         assert np.array_equal(joined, np.arange(len(labels)))
         table, _ = partition_histogram(part, labels)
         assert table.shape == (n_agents, len(np.unique(labels)))
-        assert table.sum(axis=1).tolist() == part.sizes()
+        assert table.sum(axis=1).tolist() == [len(a) for a in part.assignments]
 
 
 class TestPartitionHistogram:
@@ -225,7 +225,7 @@ class TestPartitionHistogram:
         part = dirichlet_partition(labels, 5, alpha=0.5, seed=2)
         table, _ = partition_histogram(part, labels)
         assert table.sum() == 120
-        assert list(table.sum(axis=1)) == part.sizes()
+        assert list(table.sum(axis=1)) == [len(a) for a in part.assignments]
 
     @pytest.mark.parametrize("index", [-1, -4, 4])
     def test_index_outside_labels_names_the_agent(self, index):
