@@ -344,10 +344,9 @@ class HyperparameterCheck:
 
 
 def validate_hyperparameters(eta: float, mu: float, rho: float, L: float) -> HyperparameterCheck:
-    """Check eta <= rho/(7L) and mu/(1-mu) <= rho/42."""
+    """Check eta <= rho/(7L) and mu/(1-mu) <= rho/42, for mu in [0, 1) as in a spec."""
     check_eta(eta)
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
+    check_mu_beta(mu, 0.0)
     if not 0 < rho <= 1:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if not (math.isfinite(L) and L > 0):

@@ -68,29 +68,29 @@ class SpectralStats:
 class MixingMatrix:
     """Doubly stochastic gossip weight matrix over ``n`` agents.
 
-    ``weights[i, j] != 0`` iff ``{i, j}`` is an edge or ``i == j``;
+    ``weights[i, j] != 0`` only if ``{i, j}`` is an edge or ``i == j``;
     all built-in topologies include a positive self-loop.  The undirected
     edges come as an (m, 2) integer array or a list of pairs, in any order
     and either orientation.  A neighbour table is built once from them:
     row i of ``peers`` is agent i followed by its neighbours in ascending
-    order, padded with i up to the largest degree.  ``peer_weights`` holds
-    the weights aligned with ``peers``, 0 on padding: taken from
-    ``weights``, or 1 / (1 + max degree) everywhere when ``weights`` is
-    None (the built-in graphs are regular).  ``edges``, the sorted list of
-    (min, max) pairs, is read back from the table on first use.  The dense
-    ``weights`` is built from the table on first read; once read or
-    assigned it is what ``mix`` reads at call time, so it may be changed or
-    reassigned, to an (n, n) array only, as long as its nonzero pattern
-    stays that of ``edges``.  The
+    order, padded with i up to the largest degree.  ``peer_weights``, the
+    weights aligned with ``peers`` and 0 on padding, is the one copy of W
+    that ``mix`` gathers with: 1 / (1 + max degree) on every real slot
+    when built (the built-in graphs are regular), or taken once from an
+    assigned matrix.  ``edges``, the sorted list of (min, max) pairs, is
+    read back from the table on first use.  ``weights`` is a read-only
+    dense view: built from the table on first read, or the matrix last
+    assigned.  An assignment must be (n, n) with every nonzero on the
+    diagonal or an edge; it is checked, read into the table once and kept
+    read-only, as a copy unless nothing can write to it, so no later edit
+    reaches one product and misses the other.  The
     gather runs in blocks of rows and keeps one (rows, 1 + max degree,
     *trailing) buffer per trailing shape and dtype, with rows chosen so the
     buffer fits ``GATHER_BLOCK_BYTES``; so one matrix must not ``mix`` in
     two threads at once.  It suits sparse graphs.
     """
 
-    def __init__(
-        self, n: int, weights: np.ndarray | None, edges: np.ndarray | list[tuple[int, int]]
-    ):
+    def __init__(self, n: int, edges: np.ndarray | list[tuple[int, int]]):
         self.n = n
         ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         # both directions of every edge as src * n + dst, sorted: rows in
@@ -109,9 +109,7 @@ class MixingMatrix:
         # flat index of weights[i, peers[i, k]]; ``real`` is 0 on padding
         self.slots = self.peers + n * np.arange(n)[:, None]
         self.real = (np.arange(width) <= self.degrees[:, None]).astype(float)
-        self._table = (
-            self.real / width if weights is None else np.take(weights, self.slots) * self.real
-        )
+        self.peer_weights = self.real / width
         self._weights: np.ndarray | None = None
         self._edges: list[tuple[int, int]] | None = None
         self._gathered: dict = {}
@@ -130,22 +128,26 @@ class MixingMatrix:
             # padding aliases the self slot, so only the real slots are written
             real = self.real > 0
             self._weights = np.zeros((self.n, self.n))
-            self._weights.flat[self.slots[real]] = self._table[real]
+            self._weights.flat[self.slots[real]] = self.peer_weights[real]
+            self._weights.setflags(write=False)
         return self._weights
 
     @weights.setter
     def weights(self, weights: np.ndarray):
-        if np.shape(weights) != (self.n, self.n):
-            raise ValueError(
-                f"weights must be ({self.n}, {self.n}), got shape {np.shape(weights)}"
-            )
-        self._weights = weights
-
-    @property
-    def peer_weights(self) -> np.ndarray:
-        if self._weights is None:
-            return self._table
-        return np.take(self._weights, self.slots) * self.real
+        w = np.asanyarray(weights, dtype=float)
+        if w.shape != (self.n, self.n):
+            raise ValueError(f"weights must be ({self.n}, {self.n}), got shape {w.shape}")
+        # the real slots are distinct entries, so equal counts leave no nonzero off them
+        if np.count_nonzero(w) != np.count_nonzero(np.take(w, self.slots[self.real > 0])):
+            raise ValueError("weights must be zero off the diagonal and the edges")
+        base = w
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:  # some array or buffer can write to w's memory
+            w = np.array(w)
+            w.setflags(write=False)
+        self.peer_weights = np.take(w, self.slots) * self.real
+        self._weights = w
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """W X of any (n, ...) stack: dense product below the gather crossover, gather above."""
@@ -162,15 +164,14 @@ class MixingMatrix:
             rows = -(-self.n // blocks)  # equal blocks but the last, none above fit
             self._gathered[key] = np.empty((rows,) + self.peers.shape[1:] + key[0], X.dtype)
         scratch = self._gathered[key]
-        w = self.peer_weights
-        out = np.empty(X.shape, np.result_type(w, X))
+        out = np.empty(X.shape, np.result_type(self.peer_weights, X))
         for start in range(0, self.n, len(scratch)):
             block = slice(start, start + len(scratch))
             peers = self.peers[block]
             # the block's rows of X[self.peers]; under mode="raise" numpy fills
             # a temporary and copies it into out, and peers are valid indices
             g = np.take(X, peers, axis=0, out=scratch[: len(peers)], mode="clip")
-            np.einsum("nk,nk...->n...", w[block], g, out=out[block])
+            np.einsum("nk,nk...->n...", self.peer_weights[block], g, out=out[block])
         return out
 
 
@@ -192,12 +193,8 @@ def _ring_edges(n: int) -> np.ndarray:
 
 def _square_grid(n: int) -> tuple[int, int]:
     """Most-square factorization rows * cols == n with rows <= cols."""
-    best = None
-    for r in range(1, int(np.sqrt(n)) + 1):
-        if n % r == 0:
-            best = (r, n // r)
-    assert best is not None
-    return best
+    rows = max(r for r in range(1, int(np.sqrt(n)) + 1) if n % r == 0)
+    return rows, n // rows
 
 
 def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> MixingMatrix:
@@ -235,36 +232,40 @@ def build_topology(kind: str, n: int, grid: tuple[int, int] | None = None) -> Mi
         pairs = np.concatenate([np.stack([i, right], 1), np.stack([i, down], 1)])
     else:
         raise ValueError(f"unknown topology kind {kind!r}; expected ring, dyck or torus")
-    # every built-in graph is regular, so the table's uniform weight is 1 / peers
-    return MixingMatrix(n=n, weights=None, edges=pairs)
+    return MixingMatrix(n=n, edges=pairs)
 
 
 def as_mixing(weights: np.ndarray) -> MixingMatrix:
     """Wrap a raw weight matrix, deriving edges from nonzero off-diagonals.
 
-    Every nonzero entry sits on an edge or the diagonal, so the neighbour
-    table holds the whole matrix and ``weights`` is rebuilt from it.
+    The matrix is built from those edges and then assigned ``weights``,
+    which the setter checks, reads into the table and keeps read-only.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
     i, j = np.nonzero(np.triu((w != 0) | (w.T != 0), 1))
-    return MixingMatrix(n=w.shape[0], weights=w, edges=np.stack([i, j], axis=1))
+    mixing = MixingMatrix(n=w.shape[0], edges=np.stack([i, j], axis=1))
+    mixing.weights = w
+    return mixing
 
 
 def spectral_stats(mixing: MixingMatrix) -> SpectralStats:
     """Eigen-statistics of W: lambda2, lambdaN and rho = 1 - max(|l2|, |lN|).
 
     Uses a full symmetric eigendecomposition of the current ``weights``;
-    matrices here are small.
+    matrices here are small, and W must pass ``validate_mixing``'s symmetry rule.
     """
+    w = mixing.weights
+    if not np.array_equal(w, w.T, equal_nan=True):
+        raise ValueError("spectral_stats needs a symmetric mixing matrix")
     try:
-        eigs = np.linalg.eigvalsh(mixing.weights)
+        eigs = np.linalg.eigvalsh(w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise RuntimeError(f"eigendecomposition failed for n={mixing.n} matrix: {exc}")
-    eigs = np.sort(eigs)[::-1]
-    lambda2 = float(eigs[1])
-    lambda_n = float(eigs[-1])
+    # eigvalsh returns the eigenvalues in ascending order
+    lambda2 = float(eigs[-2])
+    lambda_n = float(eigs[0])
     rho = 1.0 - max(abs(lambda2), abs(lambda_n))
     return SpectralStats(lambda2=lambda2, lambda_n=lambda_n, rho=rho)
 

@@ -534,6 +534,14 @@ class TestHyperparameterValidator:
         with pytest.raises(ValueError):
             validate_hyperparameters(eta=0.1, mu=0.1, rho=0.5, L=-1.0)
 
+    @pytest.mark.parametrize("mu", [-0.5, 1.5, float("nan")])
+    def test_mu_outside_the_spec_range_raises(self, mu):
+        # the same rule, and message, as AlgorithmSpec's
+        with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\), got"):
+            AlgorithmSpec(kind="GUT", eta=0.1, mu=mu)
+        with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\), got"):
+            validate_hyperparameters(eta=0.1, mu=mu, rho=1.0, L=1.0)
+
 
 class TestCommCost:
     def test_single_transmission_kinds(self):

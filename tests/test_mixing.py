@@ -103,9 +103,10 @@ class TestMix:
         X = np.random.default_rng(0).standard_normal((n, 3))
         W.weights = np.eye(n)
         assert np.array_equal(W.mix(X), X)
-        W.weights = build_topology("ring", n).weights
-        W.weights[0, [0, 1, n - 1]] = [0.5, 0.25, 0.25]
-        assert np.max(np.abs(W.mix(X) - W.weights @ X)) <= 1e-14 * np.max(np.abs(X))
+        edited = build_topology("ring", n).weights.copy()
+        edited[0, [0, 1, n - 1]] = [0.5, 0.25, 0.25]
+        W.weights = edited
+        assert np.max(np.abs(W.mix(X) - edited @ X)) <= 1e-14 * np.max(np.abs(X))
 
     @pytest.mark.parametrize("n", [16, 256])  # dense and gather mixing
     def test_wrongly_shaped_weights_rejected(self, n):
@@ -225,6 +226,63 @@ class TestNeighbourTable:
         assert comm_cost(AlgorithmSpec(kind="GUT", eta=0.1), 3, small) == 7.05
 
 
+class TestOneCopy:
+    """``peer_weights`` is the one copy of W that ``mix`` gathers with, and
+    ``weights`` a read-only view of it or of the matrix last assigned."""
+
+    @staticmethod
+    def products(W, X):
+        return W.mix(X), W.mix(X[:, 0])
+
+    @pytest.mark.parametrize("n", [16, 256])  # dense and gather mixing
+    def test_off_pattern_assignment_raises(self, n):
+        W = build_topology("ring", n)
+        assert W.gather == (n == 256) and "peer_weights" in vars(W)
+        X = np.random.default_rng(1).standard_normal((n, 3))
+        before, table = self.products(W, X), W.peer_weights
+        # two gossip steps reach two hops: nonzeros off the ring's edges
+        with pytest.raises(ValueError, match="zero off the diagonal and the edges"):
+            W.weights = W.weights @ W.weights
+        assert W.peer_weights is table
+        assert all(map(np.array_equal, self.products(W, X), before))
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("assigned", [False, True])
+    def test_writes_change_no_product(self, n, assigned):
+        W = build_topology("ring", n)
+        w = (np.eye(n) + build_topology("ring", n).weights) / 2
+        if assigned:
+            W.weights = w
+        X = np.random.default_rng(2).standard_normal((n, 3))
+        before = self.products(W, X)
+        with pytest.raises(ValueError, match="read-only"):
+            W.weights[0, 1] = 0.5
+        w[0, 1] = w[1, 0] = 0.5
+        assert all(map(np.array_equal, self.products(W, X), before))
+        assert W.weights[0, 1] == (0.5 / 3 if assigned else 1 / 3)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_lazy_assignment_equals_lazy_matrix(self, n):
+        W = build_topology("ring", n)
+        lazy = (np.eye(n) + W.weights) / 2
+        W.weights = lazy
+        X = np.random.default_rng(3).standard_normal((n, 5))
+        assert all(map(np.array_equal, self.products(W, X), self.products(as_mixing(lazy), X)))
+
+    def test_read_only_views_are_kept_only_when_nothing_can_write(self):
+        W = build_topology("ring", 16)
+        view = W.weights.view()
+        W.weights = view
+        assert W.weights is view
+        base = (np.eye(16) + W.weights) / 2
+        view = base.view()
+        view.setflags(write=False)
+        W.weights = view
+        assert W.weights is not view and not W.weights.flags.writeable
+        base[0, 0] = 0.0
+        assert W.weights[0, 0] == 2 / 3
+
+
 def matrix_from_edges(n, ends, peers):
     """The eager dense build ``build_topology`` used before the weights were
     held in the neighbour table: 1 / peers on the diagonal and every edge."""
@@ -308,8 +366,10 @@ class TestEdgeArray:
         rng = np.random.default_rng(n)
         ends = np.array(pairs)[rng.permutation(len(pairs))]
         ends[::2] = ends[::2, ::-1]
-        from_array = topology.MixingMatrix(n, w, ends)
-        from_list = topology.MixingMatrix(n, w, pairs)
+        from_array = topology.MixingMatrix(n, ends)
+        from_list = topology.MixingMatrix(n, pairs)
+        if w is not None:
+            from_array.weights = from_list.weights = w
         peers, degrees, slots, real = reference_table(n, pairs)
         X, x = rng.standard_normal((n, 7)), rng.standard_normal(n)
         for W in (built, from_array, from_list):
@@ -385,10 +445,11 @@ class TestGatherBuffer:
     def test_blocks_read_reassigned_weights(self):
         W = build_topology("ring", 1031)
         X = np.random.default_rng(12).standard_normal((1031, 200))
-        W.weights = W.weights.copy()
-        W.weights[3, [3, 4, 2]] = [0.5, 0.3, 0.2]
+        edited = W.weights.copy()
+        edited[3, [3, 4, 2]] = [0.5, 0.3, 0.2]
+        W.weights = edited
         assert np.array_equal(W.mix(X), self.one_shot(W, X))
-        assert np.max(np.abs(W.mix(X) - W.weights @ X)) <= 1e-14 * np.max(np.abs(X))
+        assert np.max(np.abs(W.mix(X) - edited @ X)) <= 1e-14 * np.max(np.abs(X))
 
     @pytest.mark.parametrize("budget", [topology.GATHER_BLOCK_BYTES, 64])
     def test_kept_scratch_fits_the_block_budget(self, monkeypatch, budget):

@@ -115,6 +115,25 @@ class TestSpectralStats:
         assert stats.rho == pytest.approx(ring_circulant_rho(16) / 2, abs=1e-12)
         assert stats.rho == pytest.approx(0.0254, abs=1e-4)
 
+    def test_non_symmetric_matrix_raises(self):
+        # doubly stochastic, but eigvalsh would read one triangle: rho 0.5
+        # where the second |eigenvalue| is 1/sqrt(2)
+        W = as_mixing([[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]])
+        assert validate_mixing(W).violations == ["matrix is not symmetric"]
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_stats(W)
+
+    @pytest.mark.parametrize(
+        "kind,n,grid", [("ring", 16, None), ("dyck", 32, None), ("torus", 16, None),
+                        ("torus", 32, (4, 8))]
+    )
+    def test_symmetric_derived_matrices_accepted(self, kind, n, grid):
+        W = build_topology(kind, n, grid)
+        w = W.weights
+        for M in (W, as_mixing((np.eye(n) + w) / 2), as_mixing(w @ w)):
+            assert np.array_equal(M.weights, M.weights.T)
+            assert 0 < spectral_stats(M).rho <= 1
+
 
 class TestValidateMixing:
     def test_uniform_2x2_compliant(self):
