@@ -10,7 +10,6 @@ controlled heterogeneity.
 
 from .algorithms import (
     AlgorithmSpec,
-    DivergenceError,
     HyperparameterCheck,
     State,
     comm_cost,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmSpec",
     "Batch",
-    "DivergenceError",
     "EquivalenceReport",
     "HyperparameterCheck",
     "MetricTrace",

@@ -26,6 +26,8 @@ The gradient oracle is called once per round for all agents:
 ``G`` may depend only on row i of ``X``, i and the round, so trajectories
 can be replayed across formulations.  The oracle must not write into
 ``X``, and ``G`` must be a fresh array: rounds keep it in the state.
+A round returns what its rule computed, non-finite or not; the drivers in
+``harness`` decide divergence.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .topology import MixingMatrix
 __all__ = [
     "KINDS",
     "AlgorithmSpec",
-    "DivergenceError",
     "HyperparameterCheck",
     "State",
     "check_eta",
@@ -57,15 +58,6 @@ __all__ = [
 ]
 
 GUT_FAMILY = ("GUT", "GUT-matrix", "GUT-bias", "GUT-memeff")
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a round produces non-finite parameters."""
-
-    def __init__(self, agent: int, rnd: int):
-        super().__init__(f"non-finite parameters at agent {agent}, round {rnd}")
-        self.agent = agent
-        self.round = rnd
 
 
 def check_mu_beta(mu: float, beta: float) -> None:
@@ -122,7 +114,8 @@ class State:
     over, so a buffer is current only for the kinds whose rule keeps it.
     ``losses`` holds the oracle's per-agent losses from the round that
     produced the state (None initially).  Rounds never write into a
-    state's arrays; each returns a new state.
+    state's arrays; each returns a new state, holding what its rule
+    computed even when that is not finite.
     """
 
     X: np.ndarray
@@ -133,13 +126,6 @@ class State:
     B: np.ndarray
     round: int = 0
     losses: np.ndarray | None = None
-
-    def advance(self, *, X, losses=None, **changed) -> State:
-        """The next round's state; raises DivergenceError on non-finite X."""
-        finite = np.isfinite(X)
-        if not finite.all():
-            raise DivergenceError(int(np.argmin(finite.all(axis=1))), self.round)
-        return dataclasses.replace(self, X=X, round=self.round + 1, losses=losses, **changed)
 
 
 def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
@@ -323,14 +309,16 @@ KINDS = tuple(RULES)
 def run_round(state: State, W, spec, oracle) -> State:
     """One synchronous round of spec.kind at step spec.eta, with one oracle call.
 
-    The returned state carries the oracle's losses.  Overflow is not a
-    warning here: divergence is an intended experimental condition,
-    detected and raised as DivergenceError.
+    The returned state carries the oracle's losses and whatever the rule
+    computed, non-finite parameters included: divergence is an intended
+    experimental condition, decided by the drivers in ``harness``, so
+    overflow is not a warning here either.
     """
     rule = RULES[spec.kind]
     with np.errstate(over="ignore", invalid="ignore"):
         losses, G = oracle(getattr(state, rule.at), state.round)
-        return state.advance(losses=losses, **rule.step(state, W, G, spec.eta, spec.mu, spec.beta))
+        changed = rule.step(state, W, G, spec.eta, spec.mu, spec.beta)
+    return dataclasses.replace(state, round=state.round + 1, losses=losses, **changed)
 
 
 @dataclass

@@ -487,9 +487,6 @@ def main(argv: list[str]) -> int:
         config = parse_config(argv[1:])
         outdir = Path(config["run.output_dir"])
         return _COMMANDS[sub](config, outdir)
-    except algorithms.DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -256,6 +256,8 @@ def spectral_stats(mixing: MixingMatrix) -> SpectralStats:
     Uses a full symmetric eigendecomposition of the current ``weights``;
     matrices here are small, and W must pass ``validate_mixing``'s symmetry rule.
     """
+    if mixing.n < 2:
+        raise ValueError("spectral_stats needs two or more agents: one agent has no lambda2")
     w = mixing.weights
     if not np.array_equal(w, w.T, equal_nan=True):
         raise ValueError("spectral_stats needs a symmetric mixing matrix")

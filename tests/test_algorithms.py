@@ -6,7 +6,6 @@ from decentrack.algorithms import (
     KINDS,
     RULES,
     AlgorithmSpec,
-    DivergenceError,
     comm_cost,
     init_states,
     run_round,
@@ -153,11 +152,13 @@ class TestTrackedUpdateRound:
             assert np.array_equal(point, X0 if kind in local else W.weights @ X0), kind
             assert states.losses is losses
 
-    def test_divergence_error_names_agent_and_round(self):
+    def test_overflowing_round_returns_non_finite_rows(self):
+        # the round returns what its rule computed; the drivers decide divergence
         spec = AlgorithmSpec(kind="GUT", eta=1e150, mu=0.0)
         states = init_states(np.array([[1.0], [1.0]]), UNIFORM2)
-        with pytest.raises(DivergenceError, match="agent 0, round 0"):
-            run_round(states, UNIFORM2, spec, quad_oracle([[1e200], [1e200]]))
+        states = run_round(states, UNIFORM2, spec, quad_oracle([[1e200], [1e200]]))
+        assert states.round == 1
+        assert np.array_equal(states.X, np.full((2, 1), np.inf))
 
 
 class TestMomentumVariants:
@@ -492,6 +493,43 @@ class TestMixCount:
             rule = RULES[kind]
             sends = rule.first_sends if t == 0 and rule.first_sends is not None else rule.sends
             assert len(calls) == sends, t
+
+
+class TestMeanPath:
+    """W is doubly stochastic and every rule is linear in its buffers with
+    scalar coefficients, so the agents' mean follows the same kind run on one
+    agent whose oracle returns, each round, the n-agent run's mean gradient."""
+
+    GRAPHS = {"ring16": ("ring", 16), "dyck32": ("dyck", 32), "torus16": ("torus", 16)}
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mean_follows_one_agent_fed_the_mean_gradient(self, kind, graph):
+        W = build_topology(*self.GRAPHS[graph])
+        rng = np.random.default_rng(13)
+        # heterogeneous diagonal quadratics f_i(x) = sum_k a_ik (x_k - b_ik)^2 / 2
+        a = rng.uniform(0.5, 2.0, (W.n, 6))
+        b = rng.standard_normal((W.n, 6))
+        X0 = rng.standard_normal((W.n, 6))
+        mean_grads = []
+
+        def oracle(X, rnd):
+            diff = X - b
+            G = a * diff
+            mean_grads.append(G.mean(axis=0))
+            return 0.5 * np.sum(G * diff, axis=1), G
+
+        def mean_oracle(x, rnd):
+            return np.zeros(1), mean_grads[rnd][None, :].copy()
+
+        hp = dict(eta=0.05, mu=0.1, beta=0.5)
+        agents = run_trajectory(kind, W, X0, oracle, T=300, **hp)
+        single = run_trajectory(
+            kind, as_mixing([[1.0]]), X0.mean(axis=0, keepdims=True), mean_oracle, T=300, **hp
+        )
+        for X, x in zip(agents, single):
+            x_bar = X.mean(axis=0)
+            assert np.max(np.abs(x_bar - x[0]) / (1.0 + np.abs(x_bar))) <= 1e-10
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decentrack.algorithms import AlgorithmSpec, comm_cost
+from decentrack.algorithms import KINDS, AlgorithmSpec, comm_cost, init_states, run_round
 from decentrack.harness import (
     CSV_HEADER,
     check_equivalence,
@@ -13,7 +13,7 @@ from decentrack.harness import (
     run_consensus,
     run_training,
 )
-from decentrack.models import SyntheticProblemSpec, make_problem
+from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
 from decentrack.topology import as_mixing, build_topology
 
 COMPLETE2 = as_mixing(np.full((2, 2), 0.5))
@@ -479,6 +479,29 @@ class TestRunTraining:
             batch_size=None, seeds=(1,), eval_every=100, decay=False,
         )
         assert result.traces[0].divergent
+
+    @pytest.mark.parametrize("eta,mu", [(1e300, 0.5), (0.05, 0.1)], ids=["diverging", "stable"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_divergence_matches_a_scan_every_round(self, kind, eta, mu):
+        # run_round returns a non-finite X as it is; the trace stops before
+        # the first round whose X holds a non-finite entry
+        W, T, seed = build_topology("ring", 8), 50, 1
+        problem = self.quad_problem(n_agents=8, zeta=1.0, sigma=0.1)
+        spec = AlgorithmSpec(kind=kind, eta=eta, mu=mu, beta=0.5)
+        x0 = 0.1 * np.random.default_rng(seed).standard_normal(problem.dim)
+        oracle = make_oracle(problem, None, seed=seed)
+        state = init_states(np.broadcast_to(x0, (8, problem.dim)), W)
+        finite_rounds, scanned_divergent = 0, False
+        for _ in range(T):
+            state = run_round(state, W, spec, oracle)
+            if not np.all(np.isfinite(state.X)):
+                scanned_divergent = True
+                break
+            finite_rounds += 1
+        trace = run_training(
+            W, problem, spec, T=T, batch_size=None, seeds=(seed,), decay=False
+        ).traces[0]
+        assert (trace.divergent, len(trace.rows)) == (scanned_divergent, finite_rounds)
 
     def test_csv_header_and_shape(self):
         W = build_topology("ring", 16)

@@ -123,6 +123,13 @@ class TestSpectralStats:
         with pytest.raises(ValueError, match="symmetric"):
             spectral_stats(W)
 
+    def test_one_agent_raises_value_error(self):
+        # a valid mixing matrix, but with one eigenvalue there is no lambda2
+        W = as_mixing([[1.0]])
+        assert validate_mixing(W).ok
+        with pytest.raises(ValueError, match="one agent"):
+            spectral_stats(W)
+
     @pytest.mark.parametrize(
         "kind,n,grid", [("ring", 16, None), ("dyck", 32, None), ("torus", 16, None),
                         ("torus", 32, (4, 8))]
