@@ -129,11 +129,9 @@ class State:
 
 
 def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
-    """Initial state: S = W X0, and every other buffer one read-only zero
-    array, as rounds never write into a state's arrays."""
+    """Initial state: S = W X0; the other buffers share one read-only zero view."""
     X0 = check_start(X0, W)
-    zeros = np.zeros_like(X0)
-    zeros.setflags(write=False)
+    zeros = np.broadcast_to(0.0, X0.shape)
     return State(X=X0, S=W.mix(X0), Y=zeros, D=zeros, M=zeros, B=zeros)
 
 

@@ -334,8 +334,10 @@ def check_equivalence(
     reference over all rounds.  A diverging run is compared up
     to the round in which the reference turns non-finite; a formulation
     that diverges in another round, or a comparison of zero rounds,
-    counts as an infinite deviation.
+    counts as an infinite deviation.  ``tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"equivalence tol must be finite and >= 0, got {tol}")
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dim)
     start = init_states(np.tile(x0, (W.n, 1)), W)

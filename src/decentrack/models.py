@@ -393,32 +393,15 @@ def _bounded_draws(words: np.ndarray, bounds, size: int) -> np.ndarray:
 
 
 class Problem:
-    """Common interface: per-agent stochastic losses over shared parameters."""
+    """Common interface: per-agent stochastic losses over shared parameters.
+    Every problem defines ``draw_batch``, ``loss_and_grad``, ``evaluate``,
+    ``exact_loss_and_grad`` (full data, no noise: for checks and references)
+    and ``batched_oracle`` (what ``make_oracle`` returns; arguments checked)."""
 
     kind: str
     dim: int  # parameter dimension
     n_agents: int
     seed: int
-
-    def draw_batch(
-        self, agent: int, rnd: int, batch_size: int | None, seed: int | None = None
-    ) -> Batch:
-        raise NotImplementedError
-
-    def loss_and_grad(
-        self, agent: int, params: np.ndarray, batch: Batch
-    ) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
-    def exact_loss_and_grad(
-        self, agent: int, params: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Full-data, noise-free local objective (for checks and references)."""
-        raise NotImplementedError
-
-    def batched_oracle(self, batch_size: int | None, seed: int):
-        """The oracle ``make_oracle`` returns; arguments already validated."""
-        raise NotImplementedError
 
     def _check_params(self, X: np.ndarray) -> None:
         if X.shape != (self.n_agents, self.dim):
@@ -430,9 +413,6 @@ class Problem:
             raise ValueError(
                 f"non-finite parameters supplied to agent {int(np.argmin(finite))}"
             )
-
-    def evaluate(self, params: np.ndarray) -> tuple[float, float | None]:
-        raise NotImplementedError
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -594,7 +574,10 @@ class _IndexTable:
 
 
 class _ClassificationProblem(Problem):
-    """Shared dataset/partition plumbing for softmax and mlp problems."""
+    """Shared dataset/partition plumbing for softmax and mlp problems, which
+    define ``_batch_loss_grad`` (one batch), ``_class_logits`` (class-major
+    (k, m) logits of the samples in the columns of ``cols`` (d, m)) and
+    ``_stacked_loss_grad`` (all agents' losses and grads, on ``table[i, :counts[i]]``)."""
 
     def __init__(self, spec: SyntheticProblemSpec, assignments=None):
         self.spec = spec
@@ -645,13 +628,6 @@ class _ClassificationProblem(Problem):
         picked = local[rng.integers(0, len(local), size=batch_size)]
         return Batch(indices=picked, substream=key)
 
-    def _batch_loss_grad(self, feats, labels, params):
-        raise NotImplementedError
-
-    def _class_logits(self, cols, params):
-        """Class-major logits (k, m) of the samples in the columns of ``cols`` (d, m)."""
-        raise NotImplementedError
-
     def batched_oracle(self, batch_size, seed):
         # row i of the index table is agent i's batch, its first counts[i]
         # entries; full local sets are fixed, minibatches redrawn per round
@@ -688,10 +664,6 @@ class _ClassificationProblem(Problem):
 
         return oracle
 
-    def _stacked_loss_grad(self, batches, X):
-        """Per-agent (losses, grads) on the batches ``table[i, :counts[i]]``."""
-        raise NotImplementedError
-
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
             raise ValueError(f"non-finite parameters supplied to agent {agent}")
@@ -705,8 +677,6 @@ class _ClassificationProblem(Problem):
     def evaluate(self, params):
         # class-major: a test sample per column, so the max and the sum
         # over classes run elementwise across k rows
-        if len(self.test_labels) == 0:
-            raise ValueError("empty test set")
         logits = self._class_logits(self.test_features.T, params)
         probs, m = _softmax(logits, axis=0).reshape(-1), len(self.test_labels)
         loss = float(-np.mean(np.log(probs[self.test_labels * m + np.arange(m)] + 1e-300)))

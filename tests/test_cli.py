@@ -58,6 +58,41 @@ class TestConfigParsing:
     def test_seeds_parse(self):
         assert parse_config(["--run.seeds=4,5"])["run.seeds"] == (4, 5)
 
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("--run.seeds=,", "bad value for run.seeds: run.seeds must list at least one integer"),
+            ("rounds=5", "unexpected argument 'rounds=5'; use --key=value"),
+            ("--run.rounds", "flag '--run.rounds' must have the form --key=value"),
+            (
+                "--topology.grid=2x3x4",
+                "bad value for topology.grid: expected ROWSxCOLS, got '2x3x4'",
+            ),
+            ("--run.plot=maybe", "bad value for run.plot: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_malformed_argument_exits_one(self, tmp_path, capsys, arg, message):
+        out = tmp_path / "out"
+        assert run_cli("train", arg, f"--run.output_dir={out}") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algorithm.mu=0.5\nrun.rounds 5  # no '='\n")
+        out = tmp_path / "out"
+        assert run_cli("train", f"--config={cfg}", f"--run.output_dir={out}") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: expected key=value, got 'run.rounds 5'\n"
+        assert not out.exists()
+
+    def test_output_dir_under_a_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("topology", "--topology.n=8", f"--run.output_dir={blocker / 'out'}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+
     def test_grid_parse(self):
         assert parse_config(["--topology.grid=4x8"])["topology.grid"] == (4, 8)
 
@@ -186,6 +221,16 @@ class TestTrainSubcommand:
             if key == "run.output_dir":
                 continue
             assert reparsed[key] == original[key], key
+
+    def test_torus_grid_recorded_in_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(
+            "train", "--topology.kind=torus", "--topology.n=16", "--topology.grid=4x4",
+            "--problem.kind=quadratic", "--run.rounds=4", "--run.seeds=1",
+            "--run.eval_every=2", f"--run.output_dir={out}",
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["topology.grid"] == "4x4"
 
     @pytest.mark.parametrize("kind", ["softmax", "mlp"])
     def test_dataset_drawn_once_per_run(self, tmp_path, monkeypatch, kind):
@@ -514,6 +559,15 @@ class TestEquivalenceSubcommand:
             "equivalence", "--equivalence.tol=0",
             f"--run.output_dir={tmp_path / 'out'}",
         ) == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_outside_range_is_config_error(self, tmp_path, capsys, tol):
+        # -1 and nan exited 3 and inf exited 0, whatever the deviation
+        out = tmp_path / "out"
+        assert run_cli("equivalence", f"--equivalence.tol={tol}", f"--run.output_dir={out}") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: equivalence tol must be finite and >= 0, got {float(tol)}\n"
+        assert not out.exists()
 
 
 class TestValidateSubcommand:

@@ -309,6 +309,10 @@ class TestRunConsensus:
         with pytest.raises(ValueError, match="unknown consensus method"):
             run_consensus(COMPLETE2, np.zeros((2, 1)), method="push-sum")
 
+    def test_zero_rounds_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+            run_consensus(COMPLETE2, np.zeros((2, 1)), method="gossip", T=0)
+
     def test_comm_accounting_cumulative(self):
         W = build_topology("ring", 16)
         X0 = np.random.default_rng(6).standard_normal((16, 4))
@@ -427,6 +431,12 @@ class TestRunTraining:
         )
         assert result.traces[0].rows[-1].comm_scalars == 20 * comm_cost(spec, 4, W)
 
+    def test_no_seeds_rejected(self):
+        W = build_topology("ring", 16)
+        spec = AlgorithmSpec(kind="DSGD", eta=0.05)
+        with pytest.raises(ValueError, match="at least one seed is required"):
+            run_training(W, self.quad_problem(), spec, T=5, seeds=())
+
     @pytest.mark.parametrize(
         "kind", ["DSGD", "DSGDm", "DSGDmN", "QG-DSGDm", "QG-DSGDmN", "GT", "GUT-bias"]
     )
@@ -543,3 +553,16 @@ class TestCheckEquivalence:
         )
         assert not report.passed
         assert report.max_deviation > 0
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a negative or NaN tolerance failed every run and an infinite one
+        # passed every run, whatever the deviation
+        W = build_topology("ring", 8)
+        problem = make_problem(
+            SyntheticProblemSpec(kind="quadratic", d=3, n_agents=8, zeta=1.0, sigma=0.1, seed=0)
+        )
+        spec = AlgorithmSpec(kind="GUT", eta=0.05, mu=0.1)
+        message = f"equivalence tol must be finite and >= 0, got {tol}"
+        with pytest.raises(ValueError, match=message):
+            check_equivalence(W, problem, spec, T=5, tol=tol)

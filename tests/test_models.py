@@ -188,6 +188,13 @@ class TestClassification:
         ]
         assert np.mean(accs) == pytest.approx(0.1, abs=0.05)
 
+    def test_non_finite_params_rejected(self):
+        prob = make_problem(classification_spec("softmax"))
+        params = np.zeros(prob.dim)
+        params[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite parameters supplied to agent 3"):
+            prob.loss_and_grad(3, params, prob.draw_batch(3, rnd=0))
+
     def test_quadratic_reports_no_accuracy(self):
         prob = make_problem(quad_spec())
         loss, acc = prob.evaluate(np.zeros(prob.dim))

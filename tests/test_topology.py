@@ -68,6 +68,10 @@ class TestBuildTopology:
         with pytest.raises(ValueError, match=f"torus topology requires n >= 9, got n={n}"):
             build_topology("torus", n)
 
+    def test_torus_grid_side_below_three_rejected(self):
+        with pytest.raises(ValueError, match="torus requires both grid dimensions >= 3, got 2x9"):
+            build_topology("torus", 18, grid=(2, 9))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown topology"):
             build_topology("star", 8)
@@ -178,6 +182,11 @@ class TestValidateMixing:
             build_topology("torus", 32, grid=(4, 8)),
         ):
             assert validate_mixing(W).ok
+
+    def test_non_square_reported(self):
+        report = validate_mixing(np.ones((3, 4)))
+        assert not report.ok
+        assert report.violations == ["matrix is not square: shape (3, 4)"]
 
     def test_empty_matrix_reported(self):
         report = validate_mixing(np.zeros((0, 0)))
