@@ -16,6 +16,7 @@ function of the resolved config, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -414,14 +415,7 @@ def _cmd_equivalence(config: dict, outdir: Path) -> int:
     report = harness.check_equivalence(
         W, problem, alg, T=100, tol=config["equivalence.tol"]
     )
-    doc = {
-        "max_deviation": report.max_deviation,
-        "per_form": report.per_form,
-        "tol": report.tol,
-        "passed": report.passed,
-        "rounds": report.rounds,
-        "diverged_at": report.diverged_at,
-    }
+    doc = {**dataclasses.asdict(report), "passed": report.passed}
     _write_json(outdir, "equivalence.json", doc)
     verdict = "<=" if report.passed else ">"
     print(

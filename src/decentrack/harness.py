@@ -311,8 +311,8 @@ class EquivalenceReport:
     max_deviation: float
     per_form: dict
     tol: float
-    rounds: int = 0
-    diverged_at: dict = dataclasses.field(default_factory=dict)
+    rounds: int
+    diverged_at: dict
 
     @property
     def passed(self) -> bool:
@@ -335,6 +335,11 @@ def check_equivalence(
     to the round in which the reference turns non-finite; a formulation
     that diverges in another round, or a comparison of zero rounds,
     counts as an infinite deviation.  ``tol`` must be finite and >= 0.
+
+    The formulations run in lockstep, one state each, so the suite holds
+    O(n d) memory for any T.  Interleaving them gives each the gradients
+    it would get alone: row i of the oracle's G depends only on row i of
+    X, on i and on the round.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"equivalence tol must be finite and >= 0, got {tol}")
@@ -342,33 +347,31 @@ def check_equivalence(
     x0 = rng.standard_normal(problem.dim)
     start = init_states(np.tile(x0, (W.n, 1)), W)
     oracle = models.make_oracle(problem, batch_size=None, seed=seed)
-    trajectories: dict[str, list[np.ndarray]] = {}
-    diverged_at: dict[str, int | None] = {}
-    for kind in GUT_FAMILY:
-        form_spec = dataclasses.replace(spec, kind=kind)
-        state = start
-        traj = []
-        diverged_at[kind] = None
-        # overflow on a diverging formulation surfaces in diverged_at
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T):
-                state = run_round(state, W, form_spec, oracle)
-                if _diverged(state.X, consensus_error(state.X)):
-                    diverged_at[kind] = t
-                    break
-                traj.append(state.X)
-        trajectories[kind] = traj
-    ref = trajectories["GUT"]
-    per_form = {}
-    for kind in GUT_FAMILY[1:]:
-        if not ref or diverged_at[kind] != diverged_at["GUT"]:
-            per_form[kind] = math.inf
-            continue
-        per_form[kind] = max(
-            float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
-            for a, b in zip(trajectories[kind], ref)
-        )
+    specs = {kind: dataclasses.replace(spec, kind=kind) for kind in GUT_FAMILY}
+    states = dict.fromkeys(GUT_FAMILY, start)
+    diverged_at: dict[str, int | None] = dict.fromkeys(GUT_FAMILY)
+    deviation = dict.fromkeys(GUT_FAMILY[1:], 0.0)
+    centred = np.empty_like(start.X)
+    # overflow on a diverging formulation surfaces in diverged_at
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            for kind in GUT_FAMILY:
+                if diverged_at[kind] is None:
+                    state = run_round(states[kind], W, specs[kind], oracle)
+                    if _diverged(state.X, consensus_error(state.X, centred)):
+                        diverged_at[kind] = t
+                    states[kind] = state
+            ref = states["GUT"].X
+            for kind in deviation:
+                if diverged_at["GUT"] is None and diverged_at[kind] is None:
+                    dev = float(np.max(np.abs(states[kind].X - ref) / (1.0 + np.abs(ref))))
+                    deviation[kind] = max(deviation[kind], dev)
+    rounds = T if diverged_at["GUT"] is None else diverged_at["GUT"]
+    per_form = {
+        kind: dev if rounds and diverged_at[kind] == diverged_at["GUT"] else math.inf
+        for kind, dev in deviation.items()
+    }
     return EquivalenceReport(
         max_deviation=max(per_form.values()), per_form=per_form, tol=tol,
-        rounds=len(ref), diverged_at=diverged_at,
+        rounds=rounds, diverged_at=diverged_at,
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -566,3 +567,22 @@ class TestCheckEquivalence:
         message = f"equivalence tol must be finite and >= 0, got {tol}"
         with pytest.raises(ValueError, match=message):
             check_equivalence(W, problem, spec, T=5, tol=tol)
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # the formulations run in lockstep with one state each; keeping every
+        # round of the four trajectories took 4x the peak at 4x the rounds
+        W = build_topology("ring", 64)
+        problem = make_problem(
+            SyntheticProblemSpec(kind="quadratic", d=8, n_agents=64, zeta=1.0, sigma=0.1, seed=0)
+        )
+        spec = AlgorithmSpec(kind="GUT", eta=0.05, mu=0.5)
+        check_equivalence(W, problem, spec, T=1)
+        peaks = {}
+        for T in (100, 400):
+            tracemalloc.start()
+            try:
+                check_equivalence(W, problem, spec, T=T)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.25 * peaks[100]

@@ -14,9 +14,9 @@ says whether they grow.
 import numpy as np
 import pytest
 
-from decentrack.algorithms import AlgorithmSpec, State, init_states, run_round
+from decentrack.algorithms import AlgorithmSpec, State, comm_cost, init_states, run_round
 from decentrack.harness import run_consensus
-from decentrack.topology import build_topology
+from decentrack.topology import as_mixing, build_topology, spectral_stats
 
 BUFFERS = ("X", "S", "Y", "D", "M", "B")
 
@@ -91,6 +91,14 @@ def stable_mu_cap(kind, W):
 
 def gut(mu):
     return AlgorithmSpec(kind="GUT", eta=1.0, mu=mu)
+
+
+def lazy(W):
+    """The lazy matrix (I + W) / 2: W's edges, eigenvalues (1 + lam) / 2."""
+    return as_mixing(0.5 * (np.eye(W.n) + W.weights))
+
+
+BUILT_INS = {"ring64": ("ring", 64), "dyck32": ("dyck", 32), "torus16": ("torus", 16)}
 
 
 class TestProbe:
@@ -174,3 +182,63 @@ class TestMomentumRadius:
             means.append(np.linalg.norm(state.X.mean(axis=0)))
         observed = (means[599] / means[399]) ** (1 / 200)
         assert observed == pytest.approx(radius(spec, [1.0], a=1.0), rel=0.01)
+
+
+class TestLazyMatrix:
+    """The lazy matrix lifts lam_min above the 0.174 that GUT's cap of
+    (1 + lam) / (2 (1 - 2 lam)) needs to pass mu = 0.9, at 1x communication."""
+
+    @pytest.mark.parametrize(
+        "name, scalars, lam_min, lazy_lam_min",
+        [
+            ("ring64", 16, -1 / 3, 1 / 3),
+            ("dyck32", 24, -1 / 2, 1 / 4),
+            ("torus16", 32, -3 / 5, 1 / 5),
+        ],
+    )
+    def test_same_edges_and_lifted_spectrum(self, name, scalars, lam_min, lazy_lam_min):
+        W = build_topology(*BUILT_INS[name])
+        half = lazy(W)
+        spec = AlgorithmSpec(kind="GUT", eta=1.0)
+        assert comm_cost(spec, 8, W) == comm_cost(spec, 8, half) == scalars
+        assert spectral_stats(W).lambda_n == pytest.approx(lam_min, abs=1e-12)
+        assert spectral_stats(half).lambda_n == pytest.approx(lazy_lam_min, abs=1e-12)
+
+    def test_tracked_consensus_converges_at_mu_09(self):
+        W = build_topology("ring", 64)
+        X0 = np.random.default_rng(3).standard_normal((64, 8))
+        tracked = run_consensus(lazy(W), X0, "gut", mu=0.9, T=500)
+        assert tracked.final_row().consensus_error < 1e-6
+        # on W itself gossip is still far off and tracking overflows
+        assert run_consensus(W, X0, "gossip", T=500).final_row().consensus_error > 1e-6
+        on_w = run_consensus(W, X0, "gut", mu=0.9, T=500)
+        assert not np.isfinite(on_w.final_row().consensus_error)
+
+
+class TestLazyModes:
+    @pytest.mark.parametrize("name", BUILT_INS)
+    def test_caps(self, name):
+        # the zero-gradient, eta = 1 caps: RuleB's is (1 + lam) / (2 (1 - lam))
+        # at lam_min, and every other tracked rule is stable below mu = 1
+        half = lazy(build_topology(*BUILT_INS[name]))
+        for rule in ("GUT", "GUT-bias", "RuleA"):
+            assert stable_mu_cap(rule, half) == pytest.approx(1.0, abs=1e-9), rule
+        lam = spectral_stats(half).lambda_n
+        rule_b = (1 + lam) / (2 * (1 - lam))
+        assert rule_b == pytest.approx({"ring64": 1, "dyck32": 5 / 6, "torus16": 3 / 4}[name])
+        assert stable_mu_cap("RuleB", half) == pytest.approx(min(rule_b, 1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("name, predicted", [("dyck32", 1.06112), ("torus16", 1.147468)])
+    def test_rule_b_unstable_at_mu_09(self, name, predicted):
+        half = lazy(build_topology(*BUILT_INS[name]))
+        spec = AlgorithmSpec(kind="RuleB", eta=1.0, mu=0.9)
+        assert radius(spec, disagreement_modes(half)) == pytest.approx(predicted, abs=1e-6)
+
+    def test_gut_radius_is_the_decay_of_tracked_consensus(self):
+        half = lazy(build_topology("ring", 64))
+        predicted = radius(gut(0.9), disagreement_modes(half))
+        assert predicted == pytest.approx(0.981289, abs=1e-6)
+        X0 = np.random.default_rng(3).standard_normal((64, 8))
+        errors = [r.consensus_error for r in run_consensus(half, X0, "gut", mu=0.9, T=400).rows]
+        observed = (errors[400] / errors[200]) ** (1 / (2 * 200))
+        assert observed == pytest.approx(predicted, rel=0.01)
