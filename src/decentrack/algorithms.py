@@ -12,8 +12,9 @@ baselines evaluate at the local parameters.  Nesterov look-ahead variants
 are kinds of their own (``DSGDmN``, ``QG-DSGDmN``, ``GUTmN``,
 ``QG-GUTmN``).  Every product with W goes through ``MixingMatrix.mix``,
 one per vector sent: the tracked kinds derive W sent from W x - W x'.
-Four algebraically equivalent formulations of the tracked update are
-provided so that their trajectories can be cross-checked:
+Four formulations of the tracked update are provided so that their
+trajectories can be cross-checked.  All four agree at a constant step from
+a common start; otherwise GUT-bias, whose B starts at 0, does not:
 
 * ``GUT``         x' built around the mixed point as s - eta*(g + mc),
 * ``GUT-matrix``  the stacked two-line recursion X' = X - eta*Y,
@@ -110,8 +111,8 @@ class State:
     kinds; GT keeps y itself), ``D`` delta_prev (GT: its previous
     gradient), ``M`` the momentum buffer and ``B`` the B column of the
     bias-correction form (RuleB: its last mixing residual s - x).
-    A round returns only the buffers its rule changes and carries the rest
-    over, so a buffer is current only for the kinds whose rule keeps it.
+    A round returns exactly the buffers that a later round reads and
+    carries the rest over unread, current only for the kinds that keep them.
     ``losses`` holds the oracle's per-agent losses from the round that
     produced the state (None initially).  Rounds never write into a
     state's arrays; each returns a new state, holding what its rule
@@ -136,8 +137,8 @@ def init_states(X0: np.ndarray, W: MixingMatrix) -> State:
 
 
 # Each rule maps (state, W, G, eta, mu, beta) to the arrays of the next
-# state that it changes, X among them, where G is the round's gradient,
-# taken at the point its RULES entry names.
+# state that a later round reads, X among them, where G is the round's
+# gradient, taken at the point its RULES entry names.
 
 
 def _dsgd(st, W, G, eta, mu, beta):
@@ -191,13 +192,13 @@ def _mixed(st, W, Xn, eta, lead=0.0, **changed):
     return dict(X=Xn, S=Sn, Y=WY, **changed)
 
 
-def _around_mix(st, W, G, eta, delta, mc, **changed):
+def _around_mix(st, W, G, eta, delta, mc):
     """x - eta*y rearranged around the mixed point as s - eta*(g + mc), exactly
     W x - eta g when mc = 0; x' is built in ``mc``, which must be the caller's own."""
     Xn = np.add(G, mc, out=mc)
     Xn *= eta
     np.subtract(st.S, Xn, out=Xn)
-    return _mixed(st, W, Xn, eta, D=delta, **changed)
+    return _mixed(st, W, Xn, eta, D=delta)
 
 
 def _gut(st, W, G, eta, mu, beta):
@@ -262,11 +263,12 @@ def _rule_a(st, W, G, eta, mu, beta):
 
 
 def _rule_b(st, W, G, eta, mu, beta):
-    """Corrects with the mixing residual of the last displacement,
-    (W - I)(x - x_prev) = r - r_prev for r = s - x; B keeps r (r_prev = r in round 0)."""
+    """s - eta*(g + mc) with mc = -mu*(r - r_prev)/eta, the mixing residual change
+    (W - I)(x - x_prev) for r = s - x; B keeps r (r_prev = r in round 0)."""
     r = st.S - st.X
     r_prev = r if st.round == 0 else st.B
-    return _around_mix(st, W, G, eta, G - r / eta, mu * (-(r - r_prev) / eta), B=r)
+    Xn = st.S - eta * (G + mu * (-(r - r_prev) / eta))
+    return dict(X=Xn, S=W.mix(Xn), B=r)
 
 
 class Rule(NamedTuple):

@@ -435,15 +435,8 @@ def _cmd_validate(config: dict, outdir: Path) -> int:
         eta=spec.eta, mu=spec.mu, rho=stats.rho, L=config["problem.L"]
     )
     doc = {
-        "rho": stats.rho,
-        "eta": config["algorithm.eta"],
-        "mu": config["algorithm.mu"],
-        "eta_max": check.eta_max,
-        "mu_max": check.mu_max,
-        "eta_ok": check.eta_ok,
-        "mu_ok": check.mu_ok,
-        "mixing_ok": mixing.ok,
-        "mixing_violations": mixing.violations,
+        **dataclasses.asdict(check), "rho": stats.rho, "eta": spec.eta, "mu": spec.mu,
+        "mixing_ok": mixing.ok, "mixing_violations": mixing.violations,
     }
     _write_json(outdir, "validate.json", doc)
     ok = check.eta_ok and check.mu_ok and mixing.ok

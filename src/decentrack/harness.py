@@ -329,12 +329,14 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Run all four tracked-update formulations on one gradient stream.
 
-    Agents start from a shared parameter vector; the report carries the
-    max relative parameter deviation of each formulation from the GUT
-    reference over all rounds.  A diverging run is compared up
-    to the round in which the reference turns non-finite; a formulation
-    that diverges in another round, or a comparison of zero rounds,
-    counts as an infinite deviation.  ``tol`` must be finite and >= 0.
+    Agents start from a shared parameter vector and run at the constant
+    step spec.eta, where all four agree (GUT-bias leaves the others from a
+    random start or at a step change).  The report carries each one's max
+    relative parameter deviation from the GUT reference over all rounds.
+    A diverging run is compared up to the round in which the reference
+    turns non-finite; a formulation that diverges in another round, or a
+    comparison of zero rounds, counts as an infinite deviation.  ``tol``
+    must be finite and >= 0.
 
     The formulations run in lockstep, one state each, so the suite holds
     O(n d) memory for any T.  Interleaving them gives each the gradients

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from decentrack.algorithms import (
     run_round,
     validate_hyperparameters,
 )
+from decentrack.harness import decayed_schedule
 from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
 from decentrack.topology import as_mixing, build_topology
 
@@ -399,10 +402,43 @@ class TestAblationRules:
             assert np.max(np.abs(traj[-1] - ref[-1])) > 1e-6
 
 
+class TestFormulationsOffTheCommonStart:
+    """GUT, GUT-matrix and GUT-memeff agree from any start at any step; GUT-bias
+    agrees with them only from a common start at a constant step, because its
+    B starts at 0 and is formed at the step of the round before."""
+
+    @pytest.mark.parametrize("graph, n", [("ring", 16), ("ring", 256), ("dyck", 32)])
+    def test_three_formulations_agree_from_a_random_start_under_decay(self, graph, n):
+        W = build_topology(graph, n)
+        rng = np.random.default_rng(20)
+        oracle = quad_oracle(rng.standard_normal((n, 5)))
+        X0 = rng.standard_normal((n, 5))
+        eta = decayed_schedule(0.1, 200)
+        ref = run_trajectory("GUT", W, X0, oracle, T=200, eta=eta, mu=0.1)
+        for kind in ("GUT-matrix", "GUT-memeff"):
+            traj = run_trajectory(kind, W, X0, oracle, T=200, eta=eta, mu=0.1)
+            for t, (X, R) in enumerate(zip(traj, ref)):
+                assert np.max(np.abs(X - R) / (1.0 + np.abs(R))) <= 1e-12, (kind, t)
+
+    def test_bias_form_has_no_round_zero_correction(self):
+        # GUT's first correction is -mu (s - x)/eta, from Y = D = 0
+        W = build_topology("ring", 16)
+        X0 = np.random.default_rng(0).standard_normal((16, 4))
+
+        def oracle(X, rnd):
+            return np.zeros(len(X)), 0.5 * X
+
+        gut, bias = (
+            run_trajectory(kind, W, X0, oracle, T=1, eta=0.1, mu=0.15)[0]
+            for kind in ("GUT", "GUT-bias")
+        )
+        assert np.allclose(gut - bias, 0.15 * (W.mix(X0) - X0), rtol=0, atol=1e-14)
+
+
 def expression_round(kind, st, W, G, eta, mu):
     """A GUT, GUT-matrix, RuleA or RuleB round as fresh-array expressions of its
-    one-product update equations: Y holds W y_prev, and RuleB's B its last
-    mixing residual r = s - x."""
+    one-product update equations: Y holds W y_prev; RuleB keeps only X, S and
+    B, its last mixing residual r = s - x."""
     correction = (st.S - st.X) / eta
     delta = G - correction
     if kind in ("GUT", "GUT-matrix"):
@@ -414,10 +450,9 @@ def expression_round(kind, st, W, G, eta, mu):
         mc = mu * (-(r - (r if st.round == 0 else st.B)) / eta)
     Xn = st.X - eta * (delta + mc) if kind == "GUT-matrix" else st.S - eta * (G + mc)
     Sn = W.mix(Xn)
-    out = dict(X=Xn, S=Sn, Y=(st.S - Sn) / eta, D=delta)
     if kind == "RuleB":
-        out["B"] = r
-    return out
+        return dict(X=Xn, S=Sn, B=r)
+    return dict(X=Xn, S=Sn, Y=(st.S - Sn) / eta, D=delta)
 
 
 class TestInPlaceRounds:
@@ -476,6 +511,32 @@ class TestInPlaceRounds:
             state = run_round(state, W, spec, oracle)
             assert state.X.tobytes() == X.tobytes()
             assert state.S.tobytes() == S.tobytes()
+
+
+class TestKeptBuffers:
+    """A round returns exactly the buffers that a later round of its kind reads."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returned_buffers_are_the_read_ones(self, kind):
+        W = build_topology("ring", 16)
+        rng = np.random.default_rng(19)
+        oracle = quad_oracle(rng.standard_normal((16, 4)))
+        spec = AlgorithmSpec(kind=kind, eta=0.05, mu=0.15, beta=0.5)
+        start = init_states(rng.standard_normal((16, 4)), W)
+        for _ in range(2):  # past GT's and RuleB's round-0 branches
+            start = run_round(start, W, spec, oracle)
+        after = run_round(start, W, spec, oracle)
+        buffers = ("Y", "D", "M", "B")
+        returned = {name for name in buffers if getattr(after, name) is not getattr(start, name)}
+        read = set()
+        for name in buffers:
+            # a buffer is read when its NaN reaches X within two rounds
+            state = dataclasses.replace(start, **{name: np.full_like(start.X, np.nan)})
+            for _ in range(2):
+                state = run_round(state, W, spec, oracle)
+            if not np.all(np.isfinite(state.X)):
+                read.add(name)
+        assert read == returned
 
 
 class TestMixCount:
