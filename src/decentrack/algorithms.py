@@ -13,12 +13,11 @@ are kinds of their own (``DSGDmN``, ``QG-DSGDmN``, ``GUTmN``,
 ``QG-GUTmN``).  Every product with W goes through ``MixingMatrix.mix``,
 one per vector sent: the tracked kinds derive W sent from W x - W x'.
 Four formulations of the tracked update are provided so that their
-trajectories can be cross-checked.  All four agree at a constant step from
-a common start; otherwise GUT-bias, whose B starts at 0, does not:
+trajectories can be cross-checked; they agree from any start at any step:
 
 * ``GUT``         x' built around the mixed point as s - eta*(g + mc),
 * ``GUT-matrix``  the stacked two-line recursion X' = X - eta*Y,
-* ``GUT-bias``    the bias-correction form X' = WX - eta*(G + mu*B),
+* ``GUT-bias``    the bias-correction form, GUT's Y - D kept as one buffer B,
 * ``GUT-memeff``  O(1) extra memory, keeping only the running aggregate s.
 
 The gradient oracle is called once per round for all agents:
@@ -109,8 +108,9 @@ class State:
     neighborhood aggregate sum_j w_ij x_j.  ``Y`` holds W times what the
     tracked kinds sent last round (W y_prev, or W m for the momentum-GUT
     kinds; GT keeps y itself), ``D`` delta_prev (GT: its previous
-    gradient), ``M`` the momentum buffer and ``B`` the B column of the
-    bias-correction form (RuleB: its last mixing residual s - x).
+    gradient), ``M`` the momentum buffer and ``B`` the bias-correction
+    form's W sent - delta of the round before, GUT's Y - D in one buffer
+    (RuleB: its last mixing residual s - x).
     A round returns exactly the buffers that a later round reads and
     carries the rest over unread, current only for the kinds that keep them.
     ``losses`` holds the oracle's per-agent losses from the round that
@@ -211,22 +211,13 @@ def _gut_matrix(st, W, G, eta, mu, beta):
     return _mixed(st, W, st.X - eta * Y, eta, D=delta)
 
 
-def tracked_bracket(S, Sp, X, Xp):
-    """2(S - Sp) - X + Xp in a fresh array, where S = W X and Sp = W Xp: the
-    tracked correction W y_prev - (W - I)(Xp - X) of a unit step, with no product."""
-    out = np.subtract(S, Sp)
-    out *= 2.0
-    out -= X
-    out += Xp
-    return out
-
-
 def _gut_bias(st, W, G, eta, mu, beta):
-    """X' = W X - eta*(G + mu*B); W(X' - X) is S' - S, so one product."""
-    Xn = st.S - eta * (G + mu * st.B)
+    """GUT with B = W sent - delta of the round before, so mc = mu*(B - drift) for
+    drift = (s - x)/eta; B' = (S - S')/eta + drift - G takes no second product."""
+    drift = (st.S - st.X) / eta
+    Xn = st.S - eta * (G + mu * (st.B - drift))
     Sn = W.mix(Xn)
-    Bn = -(tracked_bracket(Sn, st.S, Xn, st.X) + eta * G) / eta
-    return dict(X=Xn, S=Sn, B=Bn)
+    return dict(X=Xn, S=Sn, B=(st.S - Sn) / eta + drift - G)
 
 
 def _gut_memeff(st, W, G, eta, mu, beta):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models
 from .algorithms import GUT_FAMILY, AlgorithmSpec, check_mu_beta, check_start
-from .algorithms import comm_cost, init_states, run_round, tracked_bracket
+from .algorithms import comm_cost, init_states, run_round
 from .topology import MixingMatrix
 
 __all__ = [
@@ -141,14 +141,16 @@ def run_consensus(
 ) -> MetricTrace:
     """Gradient-free averaging with tracked updates and/or momentum.
 
-    ``gut``: X' = X + Y with Y = (W-I)X + mu*[W Y_prev - (W-I)(X_prev - X)].
-    ``qg-gutm`` additionally filters the applied update through a momentum
-    buffer built from realized displacements; ``gossip`` and ``qg-gossip``
-    are the mu = 0 cases.  ``gossip`` and ``gut`` are DSGD and GUT-bias at
-    eta = 1 with a zero gradient, bit for bit: the bracket is GUT-bias's
-    ``tracked_bracket``.  The loop stays apart from ``run_round`` because a
-    rule round mixes its new iterate at its end (T + 1 products for T rounds,
-    here T) and no rule has the momentum filter.
+    ``gut`` is GUT-bias at eta = 1 with a zero gradient, started from
+    B = W X0 - X0, that is X_prev = X0: with drift = (W - I)X,
+    X' = W X - mu*(B - drift) and B' = (W X - W X') + drift.
+    ``qg-gutm`` additionally filters the applied update X' - X through a
+    momentum buffer built from realized displacements; ``gossip`` and
+    ``qg-gossip`` are the mu = 0 cases, and ``gossip`` is DSGD with a zero
+    gradient.  ``gossip`` and ``gut`` give those rules' iterates bit for
+    bit.  The loop stays apart from ``run_round`` because a rule round mixes
+    its new iterate at its end (T + 1 products for T rounds, here T) and no
+    rule has the momentum filter.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")
@@ -160,13 +162,11 @@ def run_consensus(
     X = check_start(X0, W)
     d = X.shape[1]
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
-    # round 1's X_prev is X itself, so its W X_prev is that round's W X
-    Xp, WXp = X, None
     centred = np.empty_like(X)
     divergent = False
     use_momentum = method in ("qg-gossip", "qg-gutm")
     if use_momentum:
-        M = np.zeros_like(X)
+        M, Xp = np.zeros_like(X), X
     # divergence at aggressive mu, and squares that overflow from round 0 on,
     # are intended conditions: they show in the trace, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -175,25 +175,31 @@ def run_consensus(
             on_round(0, X)
         for t in range(1, T + 1):
             WX = W.mix(X)
-            if WXp is None:
-                WXp = WX
-            # Xn = W X + mu * bracket: GUT-bias's arithmetic at eta = 1, G = 0
-            Xn = tracked_bracket(WX, WXp, X, Xp)
+            if t == 1:
+                # X_prev = X, so W X_prev = W X and B = drift
+                WXp, drift = WX.copy(), WX - X
+            # B = (W X_prev - W X) + drift_prev, then X' = W X - mu*(B - drift),
+            # both in W X_prev's array
+            Xn = np.subtract(WXp, WX, out=WXp)
+            Xn += drift
+            np.subtract(WX, X, out=drift)
+            Xn -= drift
             Xn *= mu
-            Xn += WX
+            np.subtract(WX, Xn, out=Xn)
             if use_momentum:
-                # Xn = X + beta M + (1 - beta) [(W - I) X + mu * bracket]
+                # Xn = X + beta M + (1 - beta)(Xn - X)
                 M *= beta
                 M += (1.0 - beta) * (X - Xp)
                 Xn -= X
                 Xn *= 1.0 - beta
                 Xn += beta * M
                 Xn += X
+                Xp = X
             err = consensus_error(Xn, centred)
             if _diverged(Xn, err):
                 divergent = True
                 break
-            Xp, X, WXp = X, Xn, WX
+            X, WXp = Xn, WX
             rows.append(TraceRow(round=t, consensus_error=err, comm_scalars=per_round_scalars * t))
             if on_round is not None:
                 on_round(t, X)
@@ -330,13 +336,12 @@ def check_equivalence(
     """Run all four tracked-update formulations on one gradient stream.
 
     Agents start from a shared parameter vector and run at the constant
-    step spec.eta, where all four agree (GUT-bias leaves the others from a
-    random start or at a step change).  The report carries each one's max
-    relative parameter deviation from the GUT reference over all rounds.
-    A diverging run is compared up to the round in which the reference
-    turns non-finite; a formulation that diverges in another round, or a
-    comparison of zero rounds, counts as an infinite deviation.  ``tol``
-    must be finite and >= 0.
+    step spec.eta.  The report carries each one's max relative parameter
+    deviation from the GUT reference over all rounds.  A diverging run is
+    compared up to the round in which the reference turns non-finite; a
+    formulation that diverges in another round, or a comparison of zero
+    rounds, counts as an infinite deviation.  ``tol`` must be finite and
+    >= 0.
 
     The formulations run in lockstep, one state each, so the suite holds
     O(n d) memory for any T.  Interleaving them gives each the gradients

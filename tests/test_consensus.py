@@ -1,5 +1,7 @@
 """The consensus loop's one product with W per round, and its input checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,7 +117,8 @@ def zero_oracle(X, rnd):
 
 
 class TestZeroGradientTraining:
-    """``gossip`` and ``gut`` are the rule table's DSGD and GUT-bias with a zero gradient."""
+    """``gossip`` and ``gut`` are the rule table's DSGD and GUT-bias with a zero
+    gradient, GUT-bias started from the loop's X_prev = X0, that is B = S0 - X0."""
 
     TOPOLOGIES = {
         "ring16": lambda: build_topology("ring", 16),
@@ -126,6 +129,7 @@ class TestZeroGradientTraining:
 
     def rounds(self, W, X0, kind, mu, T=40):
         state, out = init_states(X0, W), []
+        state = dataclasses.replace(state, B=state.S - state.X)  # DSGD reads no B
         for _ in range(T):
             state = run_round(state, W, AlgorithmSpec(kind=kind, eta=1.0, mu=mu), zero_oracle)
             out.append(state.X)
@@ -144,21 +148,12 @@ class TestZeroGradientTraining:
         for a, b in zip(self.consensus(W, X0, "gossip", 0.0), self.rounds(W, X0, "DSGD", 0.0)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("graph", sorted(TOPOLOGIES))
-    def test_gut_is_gut_bias_at_unit_step(self, graph):
-        W = self.TOPOLOGIES[graph]()
-        X0 = np.random.default_rng(3).standard_normal((W.n, 8))
-        for a, b in zip(self.consensus(W, X0, "gut", 0.0), self.rounds(W, X0, "GUT-bias", 0.0)):
-            assert np.array_equal(a, b)
-        tol = 1e-12 * np.max(np.abs(X0))
-        for a, b in zip(self.consensus(W, X0, "gut", 0.15), self.rounds(W, X0, "GUT-bias", 0.15)):
-            assert np.max(np.abs(a - b)) <= tol
-
-    # dyck-32's tracked recursion is stable only below mu ~ 0.125
+    # dyck-32's tracked recursion is stable only below mu = 0.125; at 0.15 it
+    # grows, but stays finite over 200 rounds
     @pytest.mark.parametrize(
         "graph,mu",
-        [(g, mu) for g in ("ring16", "ring256", "torus3x5") for mu in (0.0, 0.1, 0.19)]
-        + [("dyck32", 0.0), ("dyck32", 0.1)],
+        [(g, mu) for g in sorted(TOPOLOGIES) for mu in (0.0, 0.1, 0.15)]
+        + [(g, 0.19) for g in ("ring16", "ring256", "torus3x5")],
     )
     @pytest.mark.parametrize("method,kind", [("gossip", "DSGD"), ("gut", "GUT-bias")])
     def test_consensus_is_the_rule_table_bit_for_bit(self, graph, mu, method, kind):

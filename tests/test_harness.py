@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from decentrack.harness import (
 )
 from decentrack.models import SyntheticProblemSpec, make_oracle, make_problem
 from decentrack.topology import as_mixing, build_topology
+from test_consensus import two_product_consensus, zero_oracle
 
 COMPLETE2 = as_mixing(np.full((2, 2), 0.5))
 
@@ -180,19 +182,18 @@ class TestConsensusErrorLayouts:
 
 
 def scanning_gut_consensus(W, X0, mu, T):
-    """The consensus loop's gut arithmetic, scanning every round for a
-    non-finite entry; returns the finite iterates X^1, X^2, ..."""
-    X, Xp, WXp = X0.copy(), X0.copy(), None
+    """GUT-bias rounds at eta = 1 with a zero gradient from B = S0 - X0, the
+    consensus ``gut`` method, scanning every round for a non-finite entry;
+    returns the finite iterates X^1, X^2, ..."""
+    state = init_states(X0, W)
+    state = dataclasses.replace(state, B=state.S - state.X)
+    spec = AlgorithmSpec(kind="GUT-bias", eta=1.0, mu=mu)
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(T):
-            WX = W.mix(X)
-            WXp = WX if WXp is None else WXp
-            Xn = WX + mu * (2.0 * (WX - WXp) - X + Xp)
-            if not np.all(np.isfinite(Xn)):
-                break
-            Xp, X, WXp = X, Xn, WX
-            out.append(X)
+    for _ in range(T):
+        state = run_round(state, W, spec, zero_oracle)
+        if not np.all(np.isfinite(state.X)):
+            break
+        out.append(state.X)
     return out
 
 
@@ -323,25 +324,11 @@ class TestRunConsensus:
         assert [r.comm_scalars for r in trace.rows] == [per_round * t for t in range(11)]
 
 
-def reference_tracked_consensus(w, X0, mu, T):
-    """Independent transcription of the tracked averaging recursion:
-    Y^t = (W - I) X^t + mu [W Y^{t-1} - (W - I)(X^{t-1} - X^t)],
-    X^{t+1} = X^t + Y^t, with X^{-1} = X^0 and Y^{-1} = 0."""
-    X, Xp = X0.copy(), X0.copy()
-    Yp = np.zeros_like(X0)
-    out = []
-    for _ in range(T):
-        Y = (w @ X - X) + mu * (w @ Yp - (w @ Xp - Xp) + (w @ X - X))
-        Xp, X, Yp = X, X + Y, Y
-        out.append(X.copy())
-    return out
-
-
 class TestAgainstReferenceRecursions:
     def test_tracked_consensus_matches_transcription(self):
         W = build_topology("ring", 8)
         X0 = np.random.default_rng(7).standard_normal((8, 3))
-        ref = reference_tracked_consensus(W.weights, X0, mu=0.15, T=40)
+        ref = two_product_consensus(W.weights, X0, "gut", mu=0.15, beta=0.0, T=40)
         got = []
         run_consensus(
             W, X0, method="gut", mu=0.15, T=40,
