@@ -123,11 +123,12 @@ def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.sum(centered) / n)
 
 
-def _diverged(X: np.ndarray, err: float) -> bool:
-    """Whether X, whose consensus error is err, holds a non-finite entry: a finite
-    err proves X finite, so stable rounds never scan, and a finite X whose
-    squares overflow is not divergent; its row carries the non-finite err."""
-    return not math.isfinite(err) and not np.all(np.isfinite(X))
+def _diverged(X: np.ndarray, err: float | None = None) -> bool:
+    """Whether X holds a non-finite entry.  Given X's consensus error err, a
+    finite err proves X finite, so stable rounds never scan, and a finite X
+    whose squares overflow is not divergent; its row carries the non-finite
+    err.  Given no err, X is scanned."""
+    return not (err is not None and math.isfinite(err)) and not np.all(np.isfinite(X))
 
 
 def run_consensus(
@@ -141,29 +142,27 @@ def run_consensus(
 ) -> MetricTrace:
     """Gradient-free averaging with tracked updates and/or momentum.
 
-    ``gut`` is GUT-bias at eta = 1 with a zero gradient, started from
+    ``gossip``'s update is W X itself: DSGD with a zero gradient, bit for
+    bit.  ``gut`` is GUT-bias at eta = 1 with a zero gradient, started from
     B = W X0 - X0, that is X_prev = X0: with drift = (W - I)X,
-    X' = W X - mu*(B - drift) and B' = (W X - W X') + drift.
-    ``qg-gutm`` additionally filters the applied update X' - X through a
-    momentum buffer built from realized displacements; ``gossip`` and
-    ``qg-gossip`` are the mu = 0 cases, and ``gossip`` is DSGD with a zero
-    gradient.  ``gossip`` and ``gut`` give those rules' iterates bit for
-    bit.  The loop stays apart from ``run_round`` because a rule round mixes
-    its new iterate at its end (T + 1 products for T rounds, here T) and no
-    rule has the momentum filter.
+    X' = W X - mu*(B - drift) and B' = (W X - W X') + drift, bit for bit.
+    ``qg-gossip`` and ``qg-gutm`` additionally filter the applied update
+    X' - X of ``gossip`` and ``gut`` through a momentum buffer built from
+    realized displacements.  The loop stays apart from ``run_round``
+    because a rule round mixes its new iterate at its end (T + 1 products
+    for T rounds, here T) and no rule has the momentum filter.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     check_mu_beta(mu, beta)
-    if method in ("gossip", "qg-gossip"):
-        mu = 0.0
     X = check_start(X0, W)
     d = X.shape[1]
     per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
     centred = np.empty_like(X)
     divergent = False
+    tracked = method in ("gut", "qg-gutm")
     use_momentum = method in ("qg-gossip", "qg-gutm")
     if use_momentum:
         M, Xp = np.zeros_like(X), X
@@ -174,18 +173,20 @@ def run_consensus(
         if on_round is not None:
             on_round(0, X)
         for t in range(1, T + 1):
-            WX = W.mix(X)
-            if t == 1:
-                # X_prev = X, so W X_prev = W X and B = drift
-                WXp, drift = WX.copy(), WX - X
-            # B = (W X_prev - W X) + drift_prev, then X' = W X - mu*(B - drift),
-            # both in W X_prev's array
-            Xn = np.subtract(WXp, WX, out=WXp)
-            Xn += drift
-            np.subtract(WX, X, out=drift)
-            Xn -= drift
-            Xn *= mu
-            np.subtract(WX, Xn, out=Xn)
+            Xn = WX = W.mix(X)
+            if tracked:
+                if t == 1:
+                    # X_prev = X, so W X_prev = W X and B = drift
+                    WXp, drift = WX.copy(), WX - X
+                # B = (W X_prev - W X) + drift_prev, then X' = W X - mu*(B - drift),
+                # both in W X_prev's array
+                Xn = np.subtract(WXp, WX, out=WXp)
+                Xn += drift
+                np.subtract(WX, X, out=drift)
+                Xn -= drift
+                Xn *= mu
+                np.subtract(WX, Xn, out=Xn)
+                WXp = WX
             if use_momentum:
                 # Xn = X + beta M + (1 - beta)(Xn - X)
                 M *= beta
@@ -199,7 +200,7 @@ def run_consensus(
             if _diverged(Xn, err):
                 divergent = True
                 break
-            X, WXp = Xn, WX
+            X = Xn
             rows.append(TraceRow(round=t, consensus_error=err, comm_scalars=per_round_scalars * t))
             if on_round is not None:
                 on_round(t, X)
@@ -358,14 +359,13 @@ def check_equivalence(
     states = dict.fromkeys(GUT_FAMILY, start)
     diverged_at: dict[str, int | None] = dict.fromkeys(GUT_FAMILY)
     deviation = dict.fromkeys(GUT_FAMILY[1:], 0.0)
-    centred = np.empty_like(start.X)
     # overflow on a diverging formulation surfaces in diverged_at
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             for kind in GUT_FAMILY:
                 if diverged_at[kind] is None:
                     state = run_round(states[kind], W, specs[kind], oracle)
-                    if _diverged(state.X, consensus_error(state.X, centred)):
+                    if _diverged(state.X):
                         diverged_at[kind] = t
                     states[kind] = state
             ref = states["GUT"].X

@@ -492,9 +492,7 @@ class QuadraticProblem(Problem):
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
             raise ValueError(f"non-finite parameters supplied to agent {agent}")
-        diff = params - self.b[agent]
-        loss = 0.5 * self.L * float(diff @ diff)
-        grad = self.L * diff
+        loss, grad = self.exact_loss_and_grad(agent, params)
         if self.sigma > 0:
             rng = _substream_rng(batch.substream)
             grad = grad + self.sigma * rng.standard_normal(self.dim)
@@ -584,7 +582,7 @@ class _ClassificationProblem(Problem):
         self.n_agents = spec.n_agents
         self.seed = spec.seed
         self._draw = draw = _shared_draw(spec, _ClassificationDraw)
-        self.features, self.labels, self._means = draw.features, draw.labels, draw.means
+        self.features, self.labels = draw.features, draw.labels
         self.test_features, self.test_labels = draw.test_features, draw.test_labels
         if assignments is None:
             assignments = draw.split

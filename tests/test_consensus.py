@@ -11,6 +11,7 @@ from decentrack.algorithms import AlgorithmSpec, init_states, run_round
 from decentrack.harness import CONSENSUS_METHODS, run_consensus, run_training
 from decentrack.models import SyntheticProblemSpec, make_problem
 from decentrack.topology import GATHER_MIN_N, build_topology
+from test_algorithms import zero_oracle
 from test_mixing import gather_graphs, irregular_graph
 
 # Graphs on both sides of the gather crossover.  The tori have a side of 3,
@@ -112,10 +113,6 @@ class TestOneProductPerRound:
                 assert np.array_equal(X, C)
 
 
-def zero_oracle(X, rnd):
-    return np.zeros(len(X)), np.zeros_like(X)
-
-
 class TestZeroGradientTraining:
     """``gossip`` and ``gut`` are the rule table's DSGD and GUT-bias with a zero
     gradient, GUT-bias started from the loop's X_prev = X0, that is B = S0 - X0."""
@@ -147,6 +144,21 @@ class TestZeroGradientTraining:
         X0 = np.random.default_rng(3).standard_normal((W.n, 8))
         for a, b in zip(self.consensus(W, X0, "gossip", 0.0), self.rounds(W, X0, "DSGD", 0.0)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [16, 256])  # dense product, gather
+    def test_gossip_from_near_the_largest_float_stays_finite(self, n):
+        # averages of entries up to 1.7e308 are finite; only the consensus
+        # error's squares overflow, and those flag no divergence
+        W = build_topology("ring", n)
+        X0 = 1.7e308 * np.random.default_rng(6).uniform(-1.0, 1.0, (n, 4))
+        X0[0, 0] = 1.7e308
+        seen = []
+        trace = run_consensus(W, X0, "gossip", T=30, on_round=lambda t, X: seen.append(X))
+        assert not trace.divergent
+        assert len(trace.rows) == len(seen) == 31
+        for before, after in zip(seen, seen[1:]):
+            assert np.all(np.isfinite(after))
+            assert np.array_equal(after, W.mix(before))
 
     # dyck-32's tracked recursion is stable only below mu = 0.125; at 0.15 it
     # grows, but stays finite over 200 rounds

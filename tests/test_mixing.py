@@ -14,6 +14,7 @@ from decentrack.algorithms import (
 )
 from decentrack.harness import run_consensus
 from decentrack.topology import as_mixing, build_topology
+from test_algorithms import quad_oracle
 
 
 def irregular_graph(n=256, chords=40, seed=0):
@@ -467,14 +468,6 @@ class TestGatherBuffer:
     def test_0d_input_is_a_value_error(self, n):
         with pytest.raises(ValueError, match=f"mix needs {n} rows"):
             build_topology("ring", n).mix(np.array(1.0))
-
-
-def quad_oracle(b):
-    def oracle(X, rnd):
-        diff = X - b
-        return 0.5 * np.sum(diff * diff, axis=1), diff
-
-    return oracle
 
 
 class TestState:

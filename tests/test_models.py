@@ -175,7 +175,8 @@ class TestClassification:
         prob = make_problem(spec)
         # unit-norm class means as prototypes: with negligible noise the
         # argmax over cosine scores recovers every label
-        w = prob._means / np.linalg.norm(prob._means, axis=1, keepdims=True)
+        means = prob._draw.means
+        w = means / np.linalg.norm(means, axis=1, keepdims=True)
         _, acc = prob.evaluate(w.ravel())
         assert acc == 1.0
 
@@ -263,6 +264,23 @@ class TestFiniteDiffCheck:
             params = rng.standard_normal(prob.dim)
             assert finite_diff_check(prob, params, eps=1e-5) <= bound
 
+    @pytest.mark.parametrize("kind", ["quadratic", "softmax", "mlp"])
+    def test_full_batch_loss_and_grad_is_the_exact_one(self, kind):
+        # finite_diff_check reads exact_loss_and_grad; at sigma = 0 on the
+        # agent's whole local set it is loss_and_grad, the oracle's reference
+        if kind == "quadratic":
+            prob = make_problem(quad_spec(sigma=0.0))
+        else:
+            prob = make_problem(classification_spec(kind))
+        rng = np.random.default_rng(8)
+        for agent in range(prob.n_agents):
+            params = rng.standard_normal(prob.dim)
+            batch = prob.draw_batch(agent, rnd=5, batch_size=None)
+            loss, grad = prob.loss_and_grad(agent, params, batch)
+            exact_loss, exact_grad = prob.exact_loss_and_grad(agent, params)
+            assert loss == exact_loss
+            assert np.array_equal(grad, exact_grad)
+
     def test_eps_range_enforced(self):
         prob = make_problem(quad_spec())
         with pytest.raises(ValueError, match="eps"):
@@ -294,8 +312,9 @@ def drawn_arrays(prob):
         return {"b": prob.b, "x_star": prob.x_star}
     arrays = {
         name: getattr(prob, name)
-        for name in ("features", "labels", "_means", "test_features", "test_labels")
+        for name in ("features", "labels", "test_features", "test_labels")
     }
+    arrays["_draw.means"] = prob._draw.means
     arrays.update({f"assignments[{i}]": a for i, a in enumerate(prob.assignments)})
     return arrays
 
