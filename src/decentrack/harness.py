@@ -151,6 +151,11 @@ def run_consensus(
     realized displacements.  The loop stays apart from ``run_round``
     because a rule round mixes its new iterate at its end (T + 1 products
     for T rounds, here T) and no rule has the momentum filter.
+    Only ``gossip`` forms no difference of iterates: from a finite start
+    with entries near +-1.7e308, whose averages are all finite, ``gut``'s
+    drift W X - X and the momentum methods' X' - X and X - X_prev
+    overflow, so ``gut``, ``qg-gossip`` and ``qg-gutm`` stop as divergent
+    in round 1.
     """
     if method not in CONSENSUS_METHODS:
         raise ValueError(f"unknown consensus method {method!r}")

@@ -31,8 +31,9 @@ per oracle and one ziggurat ``standard_normal`` per agent: each agent's
 seeded state, from the same closed form (``_pcg64_seeded``), is written into
 the one PCG64 before its row is drawn (``_SeededNormals``).
 Neither classification oracle loops over agents: softmax picks the true
-classes of its class-major stack through one flat index, and the MLP stacks
-the agents of each batch size, bit for bit the per-agent reference.
+classes of its class-major stack through one flat index, and the MLP's
+oracle is its per-agent ``_batch_loss_grad`` run once per batch-size group,
+on the stack of that group's agents, bit for bit the per-agent reference.
 
 A problem's data (the quadratic's optima; a classification dataset, its
 test set and default split) is drawn once per spec: a problem built while
@@ -573,9 +574,11 @@ class _IndexTable:
 
 class _ClassificationProblem(Problem):
     """Shared dataset/partition plumbing for softmax and mlp problems, which
-    define ``_batch_loss_grad`` (one batch), ``_class_logits`` (class-major
-    (k, m) logits of the samples in the columns of ``cols`` (d, m)) and
-    ``_stacked_loss_grad`` (all agents' losses and grads, on ``table[i, :counts[i]]``)."""
+    define ``_batch_loss_grad`` (one batch) and ``_class_logits`` (class-major
+    (k, m) logits of the samples in the columns of ``cols`` (d, m)).
+    ``_stacked_loss_grad`` gives all agents' losses and grads, on
+    ``table[i, :counts[i]]``: here ``_batch_loss_grad`` once per batch size,
+    on its agents' stack, which softmax overrides with a padded pass."""
 
     def __init__(self, spec: SyntheticProblemSpec, assignments=None):
         self.spec = spec
@@ -661,6 +664,16 @@ class _ClassificationProblem(Problem):
             return self._stacked_loss_grad(batches, X)
 
         return oracle
+
+    def _stacked_loss_grad(self, batches, X):
+        # the agents of each batch size m as a (g, m, .) stack, not padded
+        # to one width, so each agent's products keep the per-agent shapes
+        losses, grads = np.empty(len(X)), np.empty_like(X)
+        for agents, m in batches.groups:
+            rows = batches.table[agents, :m]
+            feats, labels = np.take(self.features, rows, axis=0), np.take(self.labels, rows)
+            losses[agents], grads[agents] = self._batch_loss_grad(feats, labels, X[agents])
+        return losses, grads
 
     def loss_and_grad(self, agent, params, batch):
         if not np.all(np.isfinite(params)):
@@ -761,45 +774,24 @@ class MlpProblem(_ClassificationProblem):
         return w2 @ np.tanh(w1 @ cols + b1[:, None]) + b2[:, None]
 
     def _batch_loss_grad(self, feats, labels, params):
+        # any leading axes of the arguments are agents': every matmul makes
+        # one agent's BLAS call once per agent, on that agent's shapes and
+        # strides, so a stack of agents gets each agent's bits
         w1, b1, w2, b2 = self._unpack(params)
-        m = len(labels)
-        a1 = np.tanh(feats @ w1.T + b1)
-        probs = _softmax(a1 @ w2.T + b2)
-        loss = _mean_nll(probs, labels)
-        dz2 = probs
-        dz2[np.arange(m), labels] -= 1.0
+        m = labels.shape[-1]
+        a1 = np.tanh(feats @ w1.swapaxes(-1, -2) + b1[..., None, :])
+        dz2 = _softmax(a1 @ w2.swapaxes(-1, -2) + b2[..., None, :])
+        flat = dz2.reshape(-1)
+        true = np.arange(0, flat.size, dz2.shape[-1]).reshape(labels.shape) + labels
+        picked = flat[true]
+        loss = -np.mean(np.log(picked + 1e-300), axis=-1)
+        flat[true] = picked - 1.0
         dz2 /= m
-        dw2 = dz2.T @ a1
-        db2 = dz2.sum(axis=0)
-        da1 = dz2 @ w2
-        dz1 = da1 * (1.0 - a1 * a1)
-        dw1 = dz1.T @ feats
-        db1 = dz1.sum(axis=0)
-        return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-
-    def _stacked_loss_grad(self, batches, X):
-        # _batch_loss_grad on an agent-major (g, m, .) stack of the g agents
-        # of each batch size m: every matmul makes the per-agent product's
-        # BLAS call once per agent, on the same shape and strides, so every
-        # result is the reference's bit for bit
-        losses, grads = np.empty(len(X)), np.empty_like(X)
-        for agents, m in batches.groups:
-            rows = batches.table[agents, :m]
-            feats, labels = np.take(self.features, rows, axis=0), np.take(self.labels, rows)
-            w1, b1, w2, b2 = self._unpack(X[agents])
-            a1 = np.tanh(feats @ w1.transpose(0, 2, 1) + b1[:, None])
-            dz2 = _softmax(a1 @ w2.transpose(0, 2, 1) + b2[:, None])
-            flat, g = dz2.reshape(-1), len(agents)
-            true = np.arange(0, flat.size, dz2.shape[-1]).reshape(g, m) + labels
-            picked = flat[true]
-            losses[agents] = -np.mean(np.log(picked + 1e-300), axis=1)
-            flat[true] = picked - 1.0
-            dz2 /= m
-            dz1 = (dz2 @ w2) * (1.0 - a1 * a1)
-            dw1, dw2 = dz1.transpose(0, 2, 1) @ feats, dz2.transpose(0, 2, 1) @ a1
-            parts = dw1.reshape(g, -1), dz1.sum(axis=1), dw2.reshape(g, -1), dz2.sum(axis=1)
-            grads[agents] = np.concatenate(parts, axis=1)
-        return losses, grads
+        dz1 = (dz2 @ w2) * (1.0 - a1 * a1)
+        dw1, dw2 = dz1.swapaxes(-1, -2) @ feats, dz2.swapaxes(-1, -2) @ a1
+        lead = labels.shape[:-1] + (-1,)
+        parts = dw1.reshape(lead), dz1.sum(axis=-2), dw2.reshape(lead), dz2.sum(axis=-2)
+        return loss, np.concatenate(parts, axis=-1)
 
 
 def make_problem(spec: SyntheticProblemSpec, assignments=None) -> Problem:

@@ -434,6 +434,25 @@ class TestFormulationsOffTheCommonStart:
         self.assert_agree(W, X0, oracle, T=50, eta=steps.__getitem__, mu=mu)
 
 
+class TestMemeffAggregate:
+    """GUT-memeff updates its aggregate S = W X by W y and never recomputes
+    it, so S carries the rounding of every round."""
+
+    def test_aggregate_stays_w_x_in_float64(self):
+        # on the noisy ring-16 quadratic the gap read 2.8e-15 max|X| at
+        # round 1000 and 9.2e-15 at round 5000; a change to the order of
+        # the aggregate's arithmetic shows here
+        W = build_topology("ring", 16)
+        spec = SyntheticProblemSpec(kind="quadratic", d=8, n_agents=16, zeta=1.0, sigma=0.1)
+        oracle = make_oracle(make_problem(spec))
+        algo = AlgorithmSpec(kind="GUT-memeff", eta=0.05, mu=0.1)
+        state = init_states(np.zeros((16, 8)), W)
+        for t in range(5000):
+            state = run_round(state, W, algo, oracle)
+            gap = np.max(np.abs(state.S - W.mix(state.X)))
+            assert gap <= 1e-12 * np.max(np.abs(state.X)), t
+
+
 def expression_round(kind, st, W, G, eta, mu):
     """A GUT, GUT-matrix, RuleA or RuleB round as fresh-array expressions of its
     one-product update equations: Y holds W y_prev; RuleB keeps only X, S and
@@ -572,11 +591,12 @@ class TestMeanPath:
 
     GRAPHS = {"ring16": ("ring", 16), "dyck32": ("dyck", 32), "torus16": ("torus", 16)}
 
-    def mean_path(self, kind, graph, seed, T, **hp):
-        """The n-agent iterates and the one-agent run fed their mean gradient."""
+    def quadratics(self, graph, seed):
+        """W, a start, and the oracle of heterogeneous diagonal quadratics
+        f_i(x) = sum_k a_ik (x_k - b_ik)^2 / 2 with the list it appends
+        each round's mean gradient to."""
         W = build_topology(*self.GRAPHS[graph])
         rng = np.random.default_rng(seed)
-        # heterogeneous diagonal quadratics f_i(x) = sum_k a_ik (x_k - b_ik)^2 / 2
         a = rng.uniform(0.5, 2.0, (W.n, 6))
         b = rng.standard_normal((W.n, 6))
         X0 = rng.standard_normal((W.n, 6))
@@ -587,6 +607,12 @@ class TestMeanPath:
             G = a * diff
             mean_grads.append(G.mean(axis=0))
             return 0.5 * np.sum(G * diff, axis=1), G
+
+        return W, X0, oracle, mean_grads
+
+    def mean_path(self, kind, graph, seed, T, **hp):
+        """The n-agent iterates and the one-agent run fed their mean gradient."""
+        W, X0, oracle, mean_grads = self.quadratics(graph, seed)
 
         def mean_oracle(x, rnd):
             return np.zeros(1), mean_grads[rnd][None, :].copy()
@@ -630,6 +656,59 @@ class TestMeanPath:
             agents, single = self.mean_path(kind, graph, seed, T=200, eta=eta, mu=mu, beta=beta)
         assume(all(np.max(np.abs(X)) <= 1e6 for X in agents))
         self.assert_mean_followed(agents, single)
+
+    def rounds_keep_the_mean(self, kind, graph, seed, T, **hp):
+        """Each round, one agent started from the agent-means of every buffer
+        of the n-agent state, at its round, and fed the round's mean gradient
+        reaches the means of the next n-agent state: X and S within 1e-10
+        relative to 1 + |x_bar|.  Y, D, M and B are in gradient units,
+        differences of x over eta, so eta times each is held to that bound.
+        Returns the number of rounds checked: all T, or those before the
+        n-agent run grows past 1e6."""
+        W, X0, oracle, mean_grads = self.quadratics(graph, seed)
+        spec = AlgorithmSpec(kind=kind, **hp)
+        state, one = init_states(X0, W), as_mixing([[1.0]])
+        buffers = ("X", "S", "Y", "D", "M", "B")
+        for t in range(T):
+            mean = {name: getattr(state, name).mean(axis=0, keepdims=True) for name in buffers}
+            start, state = dataclasses.replace(state, **mean), run_round(state, W, spec, oracle)
+            if not np.max(np.abs(state.X)) <= 1e6:
+                return t
+            g = mean_grads[-1][None, :]
+            step = run_round(start, one, spec, lambda x, rnd: (np.zeros(1), g.copy()))
+            scale = 1.0 + np.abs(state.X.mean(axis=0))
+            for name in buffers:
+                gap = np.abs(getattr(step, name)[0] - getattr(state, name).mean(axis=0))
+                gap *= 1.0 if name in ("X", "S") else spec.eta
+                assert np.max(gap / scale) <= 1e-10, (name, state.round)
+        return T
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_round_keeps_the_mean_at_mu_plus_beta_past_one(self, kind, graph):
+        # GUTmN itself grows at these settings, past 1e6 from round 21 on
+        # torus-16 to round 39 on ring-16; its earlier rounds are checked
+        checked = self.rounds_keep_the_mean(kind, graph, 13, T=200, eta=0.05, mu=0.1, beta=0.95)
+        assert checked == 200 or (kind == "GUTmN" and checked >= 20)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=st.sampled_from(list(GRAPHS)),
+        kind=st.sampled_from(KINDS),
+        eta=st.floats(0.005, 0.2),
+        mu=st.floats(0.0, 0.3),
+        beta=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_round_keeps_the_mean_over_hyperparameters(
+        self, graph, kind, eta, mu, beta, seed
+    ):
+        # started afresh each round, the one-agent round carries no rounding
+        # of its own from round to round, so mu + beta >= 1 is drawn too; a
+        # run that grows past 1e6 is discarded, and one that overflows does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            checked = self.rounds_keep_the_mean(kind, graph, seed, T=200, eta=eta, mu=mu, beta=beta)
+        assume(checked == 200)
 
 
 class TestDeterminism:

@@ -145,13 +145,17 @@ class TestZeroGradientTraining:
         for a, b in zip(self.consensus(W, X0, "gossip", 0.0), self.rounds(W, X0, "DSGD", 0.0)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n", [16, 256])  # dense product, gather
-    def test_gossip_from_near_the_largest_float_stays_finite(self, n):
-        # averages of entries up to 1.7e308 are finite; only the consensus
-        # error's squares overflow, and those flag no divergence
-        W = build_topology("ring", n)
+    @staticmethod
+    def near_the_largest_float(n):
+        """Ring-n and a start with entries up to 1.7e308, all of whose averages are finite."""
         X0 = 1.7e308 * np.random.default_rng(6).uniform(-1.0, 1.0, (n, 4))
         X0[0, 0] = 1.7e308
+        return build_topology("ring", n), X0
+
+    @pytest.mark.parametrize("n", [16, 256])  # dense product, gather
+    def test_gossip_from_near_the_largest_float_stays_finite(self, n):
+        # only the consensus error's squares overflow, and those flag no divergence
+        W, X0 = self.near_the_largest_float(n)
         seen = []
         trace = run_consensus(W, X0, "gossip", T=30, on_round=lambda t, X: seen.append(X))
         assert not trace.divergent
@@ -159,6 +163,18 @@ class TestZeroGradientTraining:
         for before, after in zip(seen, seen[1:]):
             assert np.all(np.isfinite(after))
             assert np.array_equal(after, W.mix(before))
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("method", ["gut", "qg-gossip", "qg-gutm"])
+    def test_differences_from_near_the_largest_float_stop_in_round_1(self, method, n):
+        # W X is finite, but gut's drift W X - X and the momentum methods'
+        # displacement X' - X overflow, so round 1 is non-finite
+        W, X0 = self.near_the_largest_float(n)
+        assert np.all(np.isfinite(W.mix(X0)))
+        seen = []
+        trace = run_consensus(W, X0, method, mu=0.15, T=30, on_round=lambda t, X: seen.append(X))
+        assert trace.divergent
+        assert [row.round for row in trace.rows] == [0] and len(seen) == 1
 
     # dyck-32's tracked recursion is stable only below mu = 0.125; at 0.15 it
     # grows, but stays finite over 200 rounds

@@ -553,23 +553,34 @@ class TestStackedClassificationOracles:
     def test_no_per_agent_call_on_an_even_partition(self, kind, batch):
         # alpha = 100 gives every agent more samples than the batch, so one
         # stack serves all of them; the full batch leaves most agents alone
-        # in their size, and a stack of one serves each of them
+        # in their size, and a stack of one serves each of them.  Softmax
+        # never calls the per-agent pass; the MLP calls it once per batch
+        # size and round, on the stack of all agents of that size
         spec = SyntheticProblemSpec(
             kind=kind, d=20, n_agents=32, n_classes=10, n_samples=8000, hidden=16, seed=1
         )
         part = dirichlet_partition(make_problem(spec).labels, 32, alpha=100.0, seed=2)
         problem = make_problem(spec, assignments=part.assignments)
-        assert min(len(a) for a in problem.assignments) > 32
+        sizes = [len(a) for a in problem.assignments]
+        assert min(sizes) > 32
         calls = []
         per_agent = problem._batch_loss_grad
-        problem._batch_loss_grad = lambda *args: calls.append(1) or per_agent(*args)
+
+        def counted(feats, labels, params):
+            calls.append(params.shape[:-1])
+            return per_agent(feats, labels, params)
+
+        problem._batch_loss_grad = counted
         oracle = make_oracle(problem, batch, seed=3)
         X = 0.1 * np.random.default_rng(4).standard_normal((32, problem.dim))
         for rnd in range(20):
             oracle(X, rnd)
-        assert calls == []
+        _, per_size = np.unique(np.minimum(sizes, batch or max(sizes)), return_counts=True)
+        assert len(per_size) == (1 if batch else 19)
+        assert calls == ([] if kind == "softmax" else [(g,) for g in per_size] * 20)
+        calls.clear()
         problem.loss_and_grad(0, X[0], problem.draw_batch(0, 0, 32, seed=3))
-        assert calls == [1]  # the counter sees the per-agent path
+        assert calls == [()]  # the counter sees the per-agent path
 
 
 def seed_words_for(bit_gen: np.random.PCG64) -> np.ndarray:
