@@ -358,7 +358,7 @@ def check_equivalence(
         raise ValueError(f"equivalence tol must be finite and >= 0, got {tol}")
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(problem.dim)
-    start = init_states(np.tile(x0, (W.n, 1)), W)
+    start = init_states(np.broadcast_to(x0, (W.n, problem.dim)), W)
     oracle = models.make_oracle(problem, batch_size=None, seed=seed)
     specs = {kind: dataclasses.replace(spec, kind=kind) for kind in GUT_FAMILY}
     states = dict.fromkeys(GUT_FAMILY, start)

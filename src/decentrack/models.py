@@ -30,10 +30,11 @@ by numpy itself.  Quadratic noise takes one PCG64 build, one ``Generator``
 per oracle and one ziggurat ``standard_normal`` per agent: each agent's
 seeded state, from the same closed form (``_pcg64_seeded``), is written into
 the one PCG64 before its row is drawn (``_SeededNormals``).
-Neither classification oracle loops over agents: softmax picks the true
-classes of its class-major stack through one flat index, and the MLP's
-oracle is its per-agent ``_batch_loss_grad`` run once per batch-size group,
-on the stack of that group's agents, bit for bit the per-agent reference.
+Every softmax cross-entropy, in both models' oracles and ``evaluate``, is one
+true-class step, ``_cross_entropy``, on flat indices.  No classification oracle
+loops over agents: softmax's runs ``_class_logits`` on a padded class-major
+stack, and the MLP's runs its per-agent ``_batch_loss_grad`` once per
+batch-size group, on that group's agents, bit for bit the per-agent reference.
 
 A problem's data (the quadratic's optima; a classification dataset, its
 test set and default split) is drawn once per spec: a problem built while
@@ -173,9 +174,6 @@ class _KeyPool:
         pool = np.random.SeedSequence(seed).pool[:, None]
         self._pool = _mix(pool, hashed ^ (hashed >> 16))[:, None, :]
         self._hash_const = int(consts[-1, 0])
-        # round word w meets constants [4w, 4w + 4] of this chain; two
-        # words cover every round below 2**64
-        self._chain = _hash_consts(self._hash_const, _MULT_A, 2 * _POOL_SIZE)
 
     def state_words(self, rounds) -> np.ndarray:
         """[r, i]: the 4 uint64 state words of agent i's (seed, agent, rounds[r]) key.
@@ -187,9 +185,8 @@ class _KeyPool:
         if len({len(words) for words in split}) > 1:
             raise ValueError("a block of rounds must split into one number of 32-bit words")
         columns = np.array(split, dtype=np.uint32).T
-        chain = self._chain
-        if len(columns) > 2:
-            chain = _hash_consts(self._hash_const, _MULT_A, _POOL_SIZE * len(columns))
+        # round word w meets constants [4w, 4w + 4] of this chain
+        chain = _hash_consts(self._hash_const, _MULT_A, _POOL_SIZE * len(columns))
         pool = self._pool
         for w, word in enumerate(columns):
             # hashmix of one word per round for each pool entry, as a
@@ -688,10 +685,9 @@ class _ClassificationProblem(Problem):
     def evaluate(self, params):
         # class-major: a test sample per column, so the max and the sum
         # over classes run elementwise across k rows
-        logits = self._class_logits(self.test_features.T, params)
-        probs, m = _softmax(logits, axis=0).reshape(-1), len(self.test_labels)
-        loss = float(-np.mean(np.log(probs[self.test_labels * m + np.arange(m)] + 1e-300)))
-        return loss, float(np.mean(np.argmax(logits, axis=0) == self.test_labels))
+        logits, labels = self._class_logits(self.test_features.T, params), self.test_labels
+        _, log_true = _cross_entropy(logits, labels * len(labels) + np.arange(len(labels)), axis=0)
+        return float(-np.mean(log_true)), float(np.mean(np.argmax(logits, axis=0) == labels))
 
 
 def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -701,9 +697,15 @@ def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return z
 
 
-def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean over the rows of ``probs`` of minus the log-probability of the true label."""
-    return float(-np.mean(np.log(probs[np.arange(len(labels)), labels] + 1e-300)))
+def _cross_entropy(logits: np.ndarray, true: np.ndarray, axis: int = -1):
+    """The softmax along ``axis`` of C-ordered ``logits``, less 1 at the flat
+    indices ``true`` (the summed loss's gradient in the logits), and the log
+    of the true-class probabilities, shaped like ``true``."""
+    probs = _softmax(logits, axis)
+    flat = probs.reshape(-1)
+    picked = flat[true]
+    flat[true] = picked - 1.0
+    return probs, np.log(picked + 1e-300)
 
 
 class SoftmaxProblem(_ClassificationProblem):
@@ -716,38 +718,30 @@ class SoftmaxProblem(_ClassificationProblem):
         self.dim = spec.n_classes * spec.d
 
     def _unpack(self, params):
-        return params.reshape(self.spec.n_classes, self.spec.d)
+        return params.reshape(params.shape[:-1] + (self.spec.n_classes, self.spec.d))
 
     def _class_logits(self, cols, params):
         return self._unpack(params) @ cols
 
     def _batch_loss_grad(self, feats, labels, params):
-        probs = _softmax(feats @ self._unpack(params).T)
-        m = len(labels)
-        loss = _mean_nll(probs, labels)
-        probs[np.arange(m), labels] -= 1.0
-        grad = (probs.T @ feats) / m
-        return loss, grad.ravel()
+        k, m = self.spec.n_classes, len(labels)
+        true = np.arange(0, m * k, k) + labels
+        probs, log_true = _cross_entropy(feats @ self._unpack(params).T, true)
+        return float(-np.mean(log_true)), ((probs.T @ feats) / m).ravel()
 
     def _stacked_loss_grad(self, batches, X):
         # class-leading (classes, agents, batch) stacks: the max and the sum
         # over classes run elementwise across contiguous k blocks; padding
-        # entries of the table are masked out of the loss and the gradient;
-        # the true classes are read and written once, through a flat index
-        n = len(X)
-        k, d = self.spec.n_classes, self.spec.d
+        # entries of the table are masked out of the loss and the gradient
         table, counts, mask, cell = batches.table, batches.counts, batches.mask, batches.cell
         feats = np.take(self.features, table, axis=0)
         true = np.take(self.labels, table) * table.size + cell
-        logits = X.reshape(n, k, d) @ feats.transpose(0, 2, 1)
-        probs = _softmax(np.ascontiguousarray(logits.transpose(1, 0, 2)), axis=0)
-        flat = probs.reshape(-1)
-        picked = flat[true]
-        losses = -np.sum(np.log(picked + 1e-300) * mask, axis=1) / counts
-        flat[true] = picked - 1.0
+        logits = self._class_logits(feats.transpose(0, 2, 1), X).transpose(1, 0, 2)
+        probs, log_true = _cross_entropy(np.ascontiguousarray(logits), true, axis=0)
+        losses = -np.sum(log_true * mask, axis=1) / counts
         probs *= mask
         grads = (probs.transpose(1, 0, 2) @ feats) / counts[:, None, None]
-        return losses, grads.reshape(n, k * d)
+        return losses, grads.reshape(X.shape)
 
 
 class MlpProblem(_ClassificationProblem):
@@ -778,14 +772,11 @@ class MlpProblem(_ClassificationProblem):
         # one agent's BLAS call once per agent, on that agent's shapes and
         # strides, so a stack of agents gets each agent's bits
         w1, b1, w2, b2 = self._unpack(params)
-        m = labels.shape[-1]
+        k, m = self.spec.n_classes, labels.shape[-1]
         a1 = np.tanh(feats @ w1.swapaxes(-1, -2) + b1[..., None, :])
-        dz2 = _softmax(a1 @ w2.swapaxes(-1, -2) + b2[..., None, :])
-        flat = dz2.reshape(-1)
-        true = np.arange(0, flat.size, dz2.shape[-1]).reshape(labels.shape) + labels
-        picked = flat[true]
-        loss = -np.mean(np.log(picked + 1e-300), axis=-1)
-        flat[true] = picked - 1.0
+        true = np.arange(0, labels.size * k, k).reshape(labels.shape) + labels
+        dz2, log_true = _cross_entropy(a1 @ w2.swapaxes(-1, -2) + b2[..., None, :], true)
+        loss = -np.mean(log_true, axis=-1)
         dz2 /= m
         dz1 = (dz2 @ w2) * (1.0 - a1 * a1)
         dw1, dw2 = dz1.swapaxes(-1, -2) @ feats, dz2.swapaxes(-1, -2) @ a1

@@ -71,11 +71,13 @@ class MixingMatrix:
     ``weights[i, j] != 0`` only if ``{i, j}`` is an edge or ``i == j``;
     all built-in topologies include a positive self-loop.  The undirected
     edges come as an (m, 2) integer array or a list of pairs, in any order
-    and either orientation.  A neighbour table is built once from them:
-    row i of ``peers`` is agent i followed by its neighbours in ascending
-    order, padded with i up to the largest degree.  ``peer_weights``, the
-    weights aligned with ``peers`` and 0 on padding, is the one copy of W
-    that ``mix`` gathers with: 1 / (1 + max degree) on every real slot
+    and either orientation.  A pair (i, i) or an edge listed twice, which
+    the table would count twice where ``weights`` counts it once, and an
+    endpoint outside [0, n) are ValueErrors.  A neighbour table is built
+    once from them: row i of ``peers`` is agent i followed by its
+    neighbours in ascending order, padded with i up to the largest degree.
+    ``peer_weights``, the weights aligned with ``peers`` and 0 on padding,
+    is the one copy of W that ``mix`` gathers with: 1 / (1 + max degree) on every real slot
     when built (the built-in graphs are regular), or taken once from an
     assigned matrix.  ``edges``, the sorted list of (min, max) pairs, is
     read back from the table on first use.  ``weights`` is a read-only
@@ -93,10 +95,15 @@ class MixingMatrix:
     def __init__(self, n: int, edges: np.ndarray | list[tuple[int, int]]):
         self.n = n
         ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        if ends.size and not 0 <= ends.min() <= ends.max() < n:
+            raise ValueError(f"edge endpoints must lie in [0, {n})")
         # both directions of every edge as src * n + dst, sorted: rows in
         # order, each row's neighbours ascending
         keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
         keys.sort()
+        # a pair (i, i) gives its key twice, as a repeated edge does
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("each edge must join two distinct agents and be listed once")
         src, dst = np.divmod(keys, n)
         self.degrees = np.bincount(src, minlength=n)
         width = 1 + int(self.degrees.max(initial=0))

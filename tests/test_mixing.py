@@ -384,6 +384,30 @@ class TestEdgeArray:
             assert np.array_equal(W.weights, dense)
 
 
+class TestEdgeChecks:
+    """An edge list that would make ``mix`` and ``weights`` disagree is refused:
+    a repeated pair or a pair (i, i) counts twice in the table's degrees and
+    peers but once in the dense W, and an endpoint outside the agents has no row."""
+
+    @pytest.mark.parametrize("repeat", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("n", [16, 200])  # the dense product and the gather
+    def test_an_edge_listed_twice_is_refused(self, n, repeat):
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        with pytest.raises(ValueError, match="listed once"):
+            topology.MixingMatrix(n, np.concatenate([ring, [repeat]]))
+
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_a_self_loop_pair_is_refused(self, n):
+        pairs = [(i, (i + 1) % n) for i in range(n)] + [(5, 5)]
+        with pytest.raises(ValueError, match="two distinct agents"):
+            topology.MixingMatrix(n, pairs)
+
+    @pytest.mark.parametrize("end", [4, -1])
+    def test_an_endpoint_outside_the_agents_is_refused(self, end):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+            topology.MixingMatrix(4, [(0, 1), (1, 2), (2, 3), (3, end)])
+
+
 class TestGatherBuffer:
     SHAPES = [((), np.float64), ((1,), np.float64), ((32,), np.float64), ((4, 3), np.float64),
               ((32,), np.float32)]
