@@ -1,7 +1,7 @@
 """Experiment drivers: consensus task, training runs, equivalence suite.
 
-A trace is a pure function of (configuration, seed); divergent runs are
-truncated and flagged rather than raised, by one rule, ``_diverged``.
+A trace is a pure function of (configuration, seed).  One loop, ``_trace``,
+writes it, and truncates and flags a divergent run by one rule, ``_diverged``.
 """
 
 from __future__ import annotations
@@ -123,12 +123,24 @@ def consensus_error(X: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.sum(centered) / n)
 
 
-def _diverged(X: np.ndarray, err: float | None = None) -> bool:
-    """Whether X holds a non-finite entry.  Given X's consensus error err, a
-    finite err proves X finite, so stable rounds never scan, and a finite X
-    whose squares overflow is not divergent; its row carries the non-finite
-    err.  Given no err, X is scanned."""
-    return not (err is not None and math.isfinite(err)) and not np.all(np.isfinite(X))
+def _diverged(X: np.ndarray) -> bool:
+    """Whether X holds a non-finite entry."""
+    return not np.all(np.isfinite(X))
+
+
+def _trace(rounds, row, centred: np.ndarray) -> MetricTrace:
+    """The trace of the (t, X, out) ``rounds`` yields: round t's row is ``row(t, out, err)``,
+    err X's consensus error, centred into ``centred``.  It ends as divergent before the
+    first X with a non-finite entry; a finite err proves X finite, so X is scanned only
+    when err is not.  Overflow shows in the rows, not as warnings."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, X, out in rounds:
+            err = consensus_error(X, centred)
+            if not math.isfinite(err) and _diverged(X):
+                return MetricTrace(rows, divergent=True)
+            rows.append(row(t, out, err))
+    return MetricTrace(rows)
 
 
 def run_consensus(
@@ -148,7 +160,7 @@ def run_consensus(
     X' = W X - mu*(B - drift) and B' = (W X - W X') + drift, bit for bit.
     ``qg-gossip`` and ``qg-gutm`` additionally filter the applied update
     X' - X of ``gossip`` and ``gut`` through a momentum buffer built from
-    realized displacements.  The loop stays apart from ``run_round``
+    realized displacements.  The recursion stays apart from ``run_round``
     because a rule round mixes its new iterate at its end (T + 1 products
     for T rounds, here T) and no rule has the momentum filter.
     Only ``gossip`` forms no difference of iterates: from a finite start
@@ -162,21 +174,12 @@ def run_consensus(
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     check_mu_beta(mu, beta)
-    X = check_start(X0, W)
-    d = X.shape[1]
-    per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), d, W)
-    centred = np.empty_like(X)
-    divergent = False
-    tracked = method in ("gut", "qg-gutm")
-    use_momentum = method in ("qg-gossip", "qg-gutm")
-    if use_momentum:
-        M, Xp = np.zeros_like(X), X
-    # divergence at aggressive mu, and squares that overflow from round 0 on,
-    # are intended conditions: they show in the trace, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = [TraceRow(round=0, consensus_error=consensus_error(X, centred), comm_scalars=0)]
-        if on_round is not None:
-            on_round(0, X)
+    tracked, use_momentum = method in ("gut", "qg-gutm"), method in ("qg-gossip", "qg-gutm")
+
+    def rounds(X):
+        if use_momentum:
+            M, Xp = np.zeros_like(X), X
+        yield 0, X, X
         for t in range(1, T + 1):
             Xn = WX = W.mix(X)
             if tracked:
@@ -201,15 +204,19 @@ def run_consensus(
                 Xn += beta * M
                 Xn += X
                 Xp = X
-            err = consensus_error(Xn, centred)
-            if _diverged(Xn, err):
-                divergent = True
-                break
             X = Xn
-            rows.append(TraceRow(round=t, consensus_error=err, comm_scalars=per_round_scalars * t))
-            if on_round is not None:
-                on_round(t, X)
-    return MetricTrace(rows=rows, divergent=divergent)
+            yield t, X, X
+
+    def row(t, X, err):
+        if on_round is not None:
+            on_round(t, X)
+        return TraceRow(round=t, consensus_error=err, comm_scalars=per_round_scalars * t)
+
+    # only the generator holds the start, so the rounds free it
+    steps = rounds(check_start(X0, W))
+    shape = np.shape(X0)
+    per_round_scalars = comm_cost(AlgorithmSpec(kind="DSGD", eta=1.0), shape[1], W)
+    return _trace(steps, row, np.empty(shape))
 
 
 def decayed_schedule(eta: float, T: int):
@@ -224,6 +231,13 @@ def decayed_schedule(eta: float, T: int):
         return eta
 
     return schedule
+
+
+# a final loss that overflowed is in its trace; its statistics are too
+@np.errstate(over="ignore", invalid="ignore")
+def _mean_std(values: list, empty):
+    """The mean and standard deviation of values, or (empty, empty) for none."""
+    return (float(np.mean(values)), float(np.std(values))) if values else (empty, empty)
 
 
 @dataclass
@@ -260,54 +274,40 @@ def run_training(
     scalars_per_round = comm_cost(spec, d, W)
     # what round 0 sends less than a later round (GT's first y is local)
     unsent = scalars_per_round - comm_cost(spec, d, W, first_round=True)
+
+    def rounds(states, oracle):
+        for t in range(T):
+            # a copy of spec per decayed round, so every step passes its checks
+            step = dataclasses.replace(spec, eta=schedule(t)) if decay else spec
+            states = run_round(states, W, step, oracle)
+            yield t, states.X, (states, step.eta)
+
+    def row(t, out, err):
+        states, eta = out
+        mean_loss = float(np.mean(states.losses))
+        evaluated = (t + 1) % eval_every == 0 or t == T - 1
+        loss, accuracy = problem.evaluate(np.mean(states.X, axis=0)) if evaluated else (None, None)
+        comm = scalars_per_round * (t + 1) - unsent
+        return TraceRow(t, err, mean_loss, loss, accuracy, eta=eta, comm_scalars=comm)
+
     traces = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        x0 = 0.1 * rng.standard_normal(d)
+        x0 = 0.1 * np.random.default_rng(seed).standard_normal(d)
         oracle = models.make_oracle(problem, batch_size, seed=seed)
-        states = init_states(np.broadcast_to(x0, (W.n, d)), W)
-        centred = np.empty_like(states.X)
-        rows: list[TraceRow] = []
-        divergent = False
-        # overflow on a diverging run is expected and surfaces as the
-        # divergent flag, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(T):
-                # a copy of spec per decayed round, so every step passes its checks
-                round_spec = dataclasses.replace(spec, eta=schedule(t)) if decay else spec
-                states = run_round(states, W, round_spec, oracle)
-                err = consensus_error(states.X, centred)
-                if _diverged(states.X, err):
-                    divergent = True
-                    break
-                row = TraceRow(
-                    round=t,
-                    consensus_error=err,
-                    mean_loss=float(np.mean(states.losses)),
-                    eta=round_spec.eta,
-                    comm_scalars=scalars_per_round * (t + 1) - unsent,
-                )
-                if (t + 1) % eval_every == 0 or t == T - 1:
-                    loss, acc = problem.evaluate(np.mean(states.X, axis=0))
-                    row.avg_model_loss = loss
-                    row.avg_model_accuracy = acc
-                rows.append(row)
-        traces.append(MetricTrace(rows=rows, divergent=divergent))
+        # only the generator holds the start, so round 0 frees it
+        steps = rounds(init_states(np.broadcast_to(x0, (W.n, d)), W), oracle)
+        traces.append(_trace(steps, row, np.empty((W.n, d))))
     # T >= 1, so a run that did not diverge evaluated its final row
     finals = [tr.final_row() for tr in traces if not tr.divergent]
     finals_loss = [r.avg_model_loss for r in finals]
     finals_acc = [r.avg_model_accuracy for r in finals if r.avg_model_accuracy is not None]
-    # a final loss that overflowed is in the trace; its statistics are too
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = {
-            "seeds": list(seeds),
-            "divergent": [tr.divergent for tr in traces],
-            "nonfinite": [tr.nonfinite for tr in traces],
-            "final_loss_mean": float(np.mean(finals_loss)) if finals_loss else math.nan,
-            "final_loss_std": float(np.std(finals_loss)) if finals_loss else math.nan,
-            "final_accuracy_mean": float(np.mean(finals_acc)) if finals_acc else None,
-            "final_accuracy_std": float(np.std(finals_acc)) if finals_acc else None,
-        }
+    summary = {
+        "seeds": list(seeds),
+        "divergent": [tr.divergent for tr in traces],
+        "nonfinite": [tr.nonfinite for tr in traces],
+    }
+    summary["final_loss_mean"], summary["final_loss_std"] = _mean_std(finals_loss, math.nan)
+    summary["final_accuracy_mean"], summary["final_accuracy_std"] = _mean_std(finals_acc, None)
     return TrainingResult(traces=traces, summary=summary)
 
 

@@ -79,10 +79,10 @@ def dirichlet_partition(
             keys -= np.repeat(agents[:n_agents], totals)
             cuts = np.cumsum(totals).tolist()
             return Partition(assignments=[keys[lo:hi] for lo, hi in zip([0, *cuts], cuts)])
+    lower = " or lower min_per_agent (--partition.min_per_agent)" if min_per_agent > 1 else ""
     raise RuntimeError(
         f"could not satisfy min_per_agent={min_per_agent} after {_MAX_REDRAWS} "
-        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha"
-        " (--partition.alpha) or lower min_per_agent (--partition.min_per_agent)"
+        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha (--partition.alpha){lower}"
     )
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decentrack.algorithms import (
@@ -624,10 +624,14 @@ class TestMeanPath:
         return agents, single
 
     @staticmethod
-    def assert_mean_followed(agents, single):
+    def assert_mean_followed(agents, single, stack_scale=False):
+        """The mean x_bar of each X_t is the one-agent x_t within 1e-10
+        relative to 1 + |x_bar|, or, with ``stack_scale``, to 1 + max|X_t|:
+        the scale of the values the mean sums, and so of its rounding."""
         for X, x in zip(agents, single):
             x_bar = X.mean(axis=0)
-            assert np.max(np.abs(x_bar - x[0]) / (1.0 + np.abs(x_bar))) <= 1e-10
+            scale = 1.0 + (np.max(np.abs(X)) if stack_scale else np.abs(x_bar))
+            assert np.max(np.abs(x_bar - x[0]) / scale) <= 1e-10
 
     @pytest.mark.parametrize("graph", list(GRAPHS))
     @pytest.mark.parametrize("kind", KINDS)
@@ -644,6 +648,9 @@ class TestMeanPath:
         beta=st.floats(0.0, 0.95),
         seed=st.integers(0, 2**32 - 1),
     )
+    # max|X_t| reaches 7.7e5 here, where GUT-memeff's mean is 1.28e-10 of
+    # 1 + |x_bar| and 1.5e-15 of 1 + max|X_t| from the one-agent run
+    @example(graph="ring16", kind="GUT-memeff", eta=0.0546875, mu=0.240234375, beta=0.0, seed=180)
     def test_mean_path_over_hyperparameters(self, graph, kind, eta, mu, beta, seed):
         # the one-agent run is fed recorded gradients, so nothing damps its
         # rounding error; at mu + beta >= 1 a momentum buffer mode of GUTm and
@@ -655,7 +662,9 @@ class TestMeanPath:
         with np.errstate(over="ignore", invalid="ignore"):
             agents, single = self.mean_path(kind, graph, seed, T=200, eta=eta, mu=mu, beta=beta)
         assume(all(np.max(np.abs(X)) <= 1e6 for X in agents))
-        self.assert_mean_followed(agents, single)
+        # a kept run's X_t reach 1e6 while its mean can stay near 0, so the
+        # mean's rounding is bounded at the scale of X_t, not of the mean
+        self.assert_mean_followed(agents, single, stack_scale=True)
 
     def rounds_keep_the_mean(self, kind, graph, seed, T, **hp):
         """Each round, one agent started from the agent-means of every buffer

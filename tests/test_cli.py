@@ -323,14 +323,18 @@ class TestTrainSubcommand:
         ) == 1
         assert "no samples" in capsys.readouterr().err
 
-    def test_unsatisfiable_partition_names_the_fix(self, tmp_path, capsys):
+    @pytest.mark.parametrize("floor", [1, 3])
+    def test_unsatisfiable_partition_names_the_fix(self, tmp_path, capsys, floor):
+        # a floor of 0 leaves agents without samples, which train rejects, so
+        # the floor is named as a fix only where lowering it keeps one sample
         assert run_cli(
             "train", "--topology.kind=dyck", "--topology.n=32", "--partition.alpha=0.01",
-            f"--run.output_dir={tmp_path}",
+            f"--partition.min_per_agent={floor}", f"--run.output_dir={tmp_path}",
         ) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: could not satisfy min_per_agent=1")
-        assert "--partition.alpha" in err and "--partition.min_per_agent" in err
+        assert err.startswith(f"error: could not satisfy min_per_agent={floor}")
+        assert "--partition.alpha" in err
+        assert ("--partition.min_per_agent" in err) == (floor > 1)
 
     @pytest.mark.parametrize(
         "flag, message",

@@ -118,10 +118,10 @@ def reference_partition(labels, n_agents, alpha, seed, min_per_agent=1):
         ]
         if min(len(a) for a in assignments) >= min_per_agent:
             return Partition(assignments=assignments)
+    lower = " or lower min_per_agent (--partition.min_per_agent)" if min_per_agent > 1 else ""
     raise RuntimeError(
         f"could not satisfy min_per_agent={min_per_agent} after 100 "
-        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha"
-        " (--partition.alpha) or lower min_per_agent (--partition.min_per_agent)"
+        f"redraws (alpha={alpha}, n_agents={n_agents}); raise alpha (--partition.alpha){lower}"
     )
 
 
