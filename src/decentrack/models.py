@@ -15,21 +15,23 @@ round; the per-agent ``draw_batch`` / ``loss_and_grad`` methods are its
 reference.
 
 The oracle draws what the reference draws, bit for bit, without its
-per-agent cost.  The SeedSequence hashing of the (seed, agent) part of each
-key runs once per oracle (``_KeyPool``): numpy's own ``SeedSequence(seed)``
-gives the pool of the seed's words, and the agent word is mixed in over all
-agents at once; the words of a block of rounds are then mixed in over
-(round, agent) lanes.
+per-agent cost.  One ``_Streams`` per oracle owns its keyed draws.  The
+SeedSequence hashing of the (seed, agent) part of each key runs once:
+numpy's own ``SeedSequence(seed)`` gives the pool of the seed's words, and
+the agent word is mixed in over all agents at once; the words of a block
+of rounds are then mixed in over (round, agent) lanes.  No bit generator
+is built per key: an oracle builds at most one PCG64 and one ``Generator``,
+on first use, and writes each key's seeded state (``_pcg64_seeded``) into
+that PCG64.
 Minibatch indices are drawn for ``_BLOCK_ROUNDS`` rounds at a time and kept
-until a round outside the block is asked for; a replay redraws them.  No
-bit generator is built for them: numpy's PCG64 is computed in closed form
-from the hashed words (``_pcg64_raw``), and one vectorised pass maps the
-raw words to indices with numpy's own algorithm for ``Generator.integers``
-(``_lemire_map``); the rare row whose draws hit a rejection is drawn again
-by numpy itself.  Quadratic noise takes one PCG64 build, one ``Generator``
-per oracle and one ziggurat ``standard_normal`` per agent: each agent's
-seeded state, from the same closed form (``_pcg64_seeded``), is written into
-the one PCG64 before its row is drawn (``_SeededNormals``).
+until a round outside the block is asked for; a replay redraws them.
+numpy's PCG64 is computed in closed form from the hashed words
+(``_pcg64_raw``), and one vectorised pass maps the raw words to indices
+with numpy's own algorithm for ``Generator.integers`` (``_lemire_map``);
+the rare row whose draws hit a rejection is drawn again by numpy, its
+state set through the public ``state`` setter.  Quadratic noise takes one
+ziggurat ``standard_normal`` per agent, each agent's state written through
+a view of numpy's PCG64 state before its row is drawn.
 Every softmax cross-entropy, in both models' oracles and ``evaluate``, is one
 true-class step, ``_cross_entropy``, on flat indices.  No classification oracle
 loops over agents: softmax's runs ``_class_logits`` on a padded class-major
@@ -90,7 +92,9 @@ class SyntheticProblemSpec:
             raise ValueError("require zeta >= 0, sigma >= 0, L > 0")
         if self.kind not in ("quadratic", "softmax", "mlp"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        for name, least in (("d", 1), ("n_classes", 2), ("hidden", 1)):
+        for name, least in (
+            ("d", 1), ("n_agents", 1), ("n_classes", 2), ("n_samples", 1), ("hidden", 1)
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -147,83 +151,6 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 # generate_state's constants: state word i is pool word i % 4, XORed with
 # _STATE_CONSTS[i] and multiplied by _STATE_CONSTS[i + 1]
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None, None]
-
-
-class _KeyPool:
-    """``SeedSequence(entropy=seed, spawn_key=(agent, rnd))`` of fixed agents, any rounds.
-
-    Replays SeedSequence's entropy mixing and state generation with one
-    uint32 lane per (round, agent).  The round's words come last in the
-    entropy, so the pool after the (seed, agent) words is the same in every
-    round: it is built once, as a (4, n_agents) uint32 array plus the hash
-    constants that the round's words meet, and ``state_words`` mixes in
-    the words of a block of rounds.  uint32 arrays wrap like the C code.
-    """
-
-    def __init__(self, seed: int, agents: np.ndarray):
-        if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
-            raise ValueError("substream agents must lie in [0, 2**32)")
-        # a spawn key pads the seed's words with zeros to the pool size,
-        # which is what SeedSequence(seed) hashes in place of missing words,
-        # so its pool is the pool before the agent word.  Each seed word, at
-        # least 4 of them, met 4 hash constants; the agent word meets the
-        # next 4 and the round's words the ones after
-        used = _POOL_SIZE * max(len(_uint32_words(seed)), _POOL_SIZE)
-        consts = _hash_consts(_INIT_A, _MULT_A, used + _POOL_SIZE)[used:, None]
-        hashed = (agents.astype(np.uint32) ^ consts[:-1]) * consts[1:]
-        pool = np.random.SeedSequence(seed).pool[:, None]
-        self._pool = _mix(pool, hashed ^ (hashed >> 16))[:, None, :]
-        self._hash_const = int(consts[-1, 0])
-
-    def state_words(self, rounds) -> np.ndarray:
-        """[r, i]: the 4 uint64 state words of agent i's (seed, agent, rounds[r]) key.
-
-        All rounds must split into the same number of 32-bit words: a block
-        never mixes rounds below 2**32 with rounds at or above it.
-        """
-        split = [_uint32_words(rnd) for rnd in rounds]
-        if len({len(words) for words in split}) > 1:
-            raise ValueError("a block of rounds must split into one number of 32-bit words")
-        columns = np.array(split, dtype=np.uint32).T
-        # round word w meets constants [4w, 4w + 4] of this chain
-        chain = _hash_consts(self._hash_const, _MULT_A, _POOL_SIZE * len(columns))
-        pool = self._pool
-        for w, word in enumerate(columns):
-            # hashmix of one word per round for each pool entry, as a
-            # (pool entry, round) array applied across the agents
-            consts = chain[_POOL_SIZE * w : _POOL_SIZE * (w + 1) + 1, None]
-            hashed = (word ^ consts[:-1]) * consts[1:]
-            pool = _mix(pool, (hashed ^ (hashed >> 16))[:, :, None])
-        words = np.concatenate((pool, pool))
-        words ^= _STATE_CONSTS[:-1]
-        words *= _STATE_CONSTS[1:]
-        words ^= words >> 16
-        # uint64 output reads the uint32 words as little-endian pairs
-        return (
-            np.ascontiguousarray(words.transpose(1, 2, 0), dtype="<u4")
-            .view("<u8")
-            .astype(np.uint64)
-        )
-
-
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands a bit generator precomputed uint64 state words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
-            raise ValueError(
-                f"precomputed {len(self.words)} uint64 words,"
-                f" asked for {n_words} {np.dtype(dtype)}"
-            )
-        return self.words
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """A Generator whose PCG64 numpy seeds from precomputed state words."""
-    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 def _lemire_map(raw: np.ndarray, bounds: np.ndarray, size: int):
@@ -287,10 +214,11 @@ def _pcg64_consts(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pcg64_states(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the 64-bit halves of state j of ``PCG64(_StateWords(words[i]))`` at [i, j], j < m.
+    """(lo, hi): at [i, j], the 64-bit halves of state j < m of numpy's PCG64 seeded from words[i].
 
-    State 0 is the one numpy's seeding leaves.  The 128-bit states come
-    from one float64 product of the words' 16-bit limbs with
+    numpy seeds PCG64 from 4 uint64 state words, which a SeedSequence key
+    generates; state 0 is the one that seeding leaves.  The 128-bit states
+    come from one float64 product of the words' 16-bit limbs with
     ``_pcg64_consts(m)``.  Each sum is of at most 16 terms below 2**48 plus
     an offset below 2**32, so it is an exact integer below 2**53 whatever
     the summation order or BLAS thread count; carrying the 32-bit limbs
@@ -308,7 +236,7 @@ def _pcg64_states(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
-    """Row i: ``np.random.PCG64(_StateWords(words[i])).random_raw(m)``, all rows at once."""
+    """Row i: ``random_raw(m)`` of numpy's PCG64 seeded from words[i], all rows at once."""
     lo, hi = _pcg64_states(words, m + 1)
     lo, hi = lo[:, 1:], hi[:, 1:]
     rot = hi >> np.uint64(58)  # the state's top 6 bits
@@ -317,7 +245,7 @@ def _pcg64_raw(words: np.ndarray, m: int) -> np.ndarray:
 
 
 def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
-    """Row i: (state lo, state hi, inc lo, inc hi) of ``PCG64(_StateWords(words[i]))``."""
+    """Row i: (state lo, state hi, inc lo, inc hi) of numpy's PCG64 seeded from words[i]."""
     lo, hi = _pcg64_states(words, 1)
     i_hi, i_lo = np.asarray(words, dtype=np.uint64)[:, 2:].T
     one = np.uint64(1)
@@ -331,63 +259,128 @@ def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
 _PCG64_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
 
 
-class _SeededNormals:
-    """numpy's ``_generator(words).standard_normal`` for any state words, from one PCG64.
+class _Streams:
+    """numpy's ``default_rng(SeedSequence(seed, spawn_key=(agent, rnd)))`` draws of fixed agents.
 
-    Before each row the row's seeded state is written into the one
-    PCG64's state, through a view of numpy's 128-bit state and increment;
-    the draws are numpy's own ziggurat on numpy's own state, bit for bit.
-    ``standard_normal`` reads whole 64-bit words, so the buffered 32-bit
-    half, which a write does not reset, is never read.
+    ``state_words`` replays SeedSequence's entropy mixing and state
+    generation with one uint32 lane per (round, agent).  The round's words
+    come last in the entropy, so the pool after the (seed, agent) words is
+    the same in every round: it is built once, as a (4, n_agents) uint32
+    array plus the hash constants that the round's words meet.  uint32
+    arrays wrap like the C code.  Draws take no bit generator per key: at
+    most one PCG64 and one ``Generator`` per instance, built on first use,
+    into which a key's seeded state (``_pcg64_seeded``) is written.
     """
 
-    def __init__(self):
-        self.bit_generator = np.random.PCG64(0)
-        self._normal = np.random.Generator(self.bit_generator).standard_normal
-        # numpy's pcg64_state begins with a pointer to the state and increment,
-        # which the bit generator owns: the view is valid while it lives
-        address = ctypes.c_void_p.from_address(self.bit_generator.ctypes.state_address).value
-        self.view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
-        # the word order: set a known state publicly and read it back
-        state, inc = (1 << 64) | 2, (3 << 64) | 5
-        self.bit_generator.state = {
+    def __init__(self, seed: int, agents: np.ndarray):
+        if agents.size and not 0 <= agents.min() <= agents.max() <= _MASK32:
+            raise ValueError("substream agents must lie in [0, 2**32)")
+        # a spawn key pads the seed's words with zeros to the pool size,
+        # which is what SeedSequence(seed) hashes in place of missing words,
+        # so its pool is the pool before the agent word.  Each seed word, at
+        # least 4 of them, met 4 hash constants; the agent word meets the
+        # next 4 and the round's words the ones after
+        used = _POOL_SIZE * max(len(_uint32_words(seed)), _POOL_SIZE)
+        consts = _hash_consts(_INIT_A, _MULT_A, used + _POOL_SIZE)[used:, None]
+        hashed = (agents.astype(np.uint32) ^ consts[:-1]) * consts[1:]
+        pool = np.random.SeedSequence(seed).pool[:, None]
+        self._pool = _mix(pool, hashed ^ (hashed >> 16))[:, None, :]
+        self._hash_const = int(consts[-1, 0])
+        self._generator = self._view = None
+
+    def state_words(self, rounds) -> np.ndarray:
+        """[r, i]: the 4 uint64 state words of agent i's (seed, agent, rounds[r]) key.
+
+        All rounds must split into the same number of 32-bit words: a block
+        never mixes rounds below 2**32 with rounds at or above it.
+        """
+        split = [_uint32_words(rnd) for rnd in rounds]
+        if len({len(words) for words in split}) > 1:
+            raise ValueError("a block of rounds must split into one number of 32-bit words")
+        columns = np.array(split, dtype=np.uint32).T
+        # round word w meets constants [4w, 4w + 4] of this chain
+        chain = _hash_consts(self._hash_const, _MULT_A, _POOL_SIZE * len(columns))
+        pool = self._pool
+        for w, word in enumerate(columns):
+            # hashmix of one word per round for each pool entry, as a
+            # (pool entry, round) array applied across the agents
+            consts = chain[_POOL_SIZE * w : _POOL_SIZE * (w + 1) + 1, None]
+            hashed = (word ^ consts[:-1]) * consts[1:]
+            pool = _mix(pool, (hashed ^ (hashed >> 16))[:, :, None])
+        words = np.concatenate((pool, pool))
+        words ^= _STATE_CONSTS[:-1]
+        words *= _STATE_CONSTS[1:]
+        words ^= words >> 16
+        # uint64 output reads the uint32 words as little-endian pairs
+        return (
+            np.ascontiguousarray(words.transpose(1, 2, 0), dtype="<u4")
+            .view("<u8")
+            .astype(np.uint64)
+        )
+
+    def _seeded(self, state: int, inc: int) -> np.random.Generator:
+        """The one ``Generator``, its PCG64 set through numpy's public ``state`` setter."""
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.PCG64(0))
+        self._generator.bit_generator.state = {
             "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0,
         }
-        known = np.array([2, 1, 5, 3], dtype=np.uint64)  # state lo, hi; inc lo, hi
-        for order in _PCG64_WORD_ORDERS:
-            if np.array_equal(self.view, known[list(order)]):
-                self.order = list(order)
-                break
-        else:
-            raise RuntimeError(
-                f"numpy {np.__version__} stores PCG64's state words in an unknown order"
-            )
+        return self._generator
 
-    def fill(self, out: np.ndarray, words: np.ndarray) -> None:
-        """Row i of ``out``: ``_generator(words[i]).standard_normal(out=out[i])``."""
+    def normals(self, rnd: int, out: np.ndarray) -> None:
+        """Row i of ``out``: agent i's ``standard_normal(out=out[i])`` in round ``rnd``.
+
+        Before each row the row's seeded state is written into the one
+        PCG64's state, through a view of numpy's 128-bit state and
+        increment; the draws are numpy's own ziggurat on numpy's own state,
+        bit for bit.  ``standard_normal`` reads whole 64-bit words, so the
+        buffered 32-bit half, which a write does not reset, is never read.
+        """
+        if self._view is None:
+            # numpy's pcg64_state begins with a pointer to the state and
+            # increment, which the bit generator owns: the view is valid
+            # while it lives.  The word order: set a known state publicly
+            # and read it back
+            bit_generator = self._seeded((1 << 64) | 2, (3 << 64) | 5).bit_generator
+            address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+            view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+            known = np.array([2, 1, 5, 3], dtype=np.uint64)  # state lo, hi; inc lo, hi
+            for order in _PCG64_WORD_ORDERS:
+                if np.array_equal(view, known[list(order)]):
+                    self._view, self._order = view, list(order)
+                    break
+            else:
+                raise RuntimeError(
+                    f"numpy {np.__version__} stores PCG64's state words in an unknown order"
+                )
         # a 32-byte slice copied into the view's bytes is the cheapest write
-        states = _pcg64_seeded(words)[:, self.order].tobytes()
-        view, normal = memoryview(self.view).cast("B"), self._normal
+        states = _pcg64_seeded(self.state_words([rnd])[0])[:, self._order].tobytes()
+        view, normal = memoryview(self._view).cast("B"), self._generator.standard_normal
         for start, row in zip(range(0, len(states), 32), out):
             view[:] = states[start : start + 32]
             normal(out=row)
 
+    def integers(self, rounds, bounds, size: int) -> np.ndarray:
+        """[r, i]: agent i's ``integers(0, bound, size=size)`` in round ``rounds[r]``.
 
-def _bounded_draws(words: np.ndarray, bounds, size: int) -> np.ndarray:
-    """Row i: ``_generator(words[i]).integers(0, bounds[i], size=size)``, for bounds in [1, 2**32].
-
-    All rows go through ``_pcg64_raw`` and ``_lemire_map`` at once; a row
-    with a rejected draw (probability below size * bound / 2**32) is drawn
-    again by numpy from the same state words.
-    """
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    if bounds.size and not 1 <= bounds.min() <= bounds.max() <= 2**32:
-        raise ValueError("bounded draws need bounds in [1, 2**32]")
-    draws, rejected = _lemire_map(_pcg64_raw(words, (size + 1) // 2), bounds, size)
-    for row in np.flatnonzero(rejected):
-        draws[row] = _generator(words[row]).integers(0, int(bounds[row]), size=size)
-    return draws
+        ``bounds`` holds one bound in [1, 2**32] per (round, agent) row,
+        round-major.  All rows go through ``_pcg64_raw`` and ``_lemire_map``
+        at once; a row with a rejected draw (probability below
+        size * bound / 2**32) is drawn again by numpy from its seeded state,
+        set through the public setter, which also clears the buffered
+        32-bit half that the row before may leave.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if bounds.size and not 1 <= bounds.min() <= bounds.max() <= 2**32:
+            raise ValueError("bounded draws need bounds in [1, 2**32]")
+        words = self.state_words(rounds).reshape(-1, 4)
+        draws, rejected = _lemire_map(_pcg64_raw(words, (size + 1) // 2), bounds, size)
+        for row in np.flatnonzero(rejected):
+            lo, hi, inc_lo, inc_hi = _pcg64_seeded(words[row, None])[0].tolist()
+            generator = self._seeded(hi << 64 | lo, inc_hi << 64 | inc_lo)
+            draws[row] = generator.integers(0, int(bounds[row]), size=size)
+        return draws.reshape(len(rounds), -1, size)
 
 
 class Problem:
@@ -501,17 +494,16 @@ class QuadraticProblem(Problem):
         return 0.5 * self.L * float(diff @ diff), self.L * diff
 
     def batched_oracle(self, batch_size, seed):
-        keys = _KeyPool(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
-        normals = _SeededNormals() if keys is not None else None
-        noise = np.empty((self.n_agents, self.dim)) if keys is not None else None
+        streams = _Streams(seed, np.arange(self.n_agents)) if self.sigma > 0 else None
+        noise = np.empty((self.n_agents, self.dim)) if streams is not None else None
 
         def oracle(X, rnd):
             self._check_params(X)
             G = X - self.b
             losses = 0.5 * self.L * np.einsum("ij,ij->i", G, G)
             G *= self.L
-            if keys is not None:
-                normals.fill(noise, keys.state_words([rnd])[0])
+            if streams is not None:
+                streams.normals(rnd, noise)
                 # the same rounding as G += sigma * noise, with no temporary
                 np.multiply(noise, self.sigma, out=noise)
                 G += noise
@@ -642,7 +634,7 @@ class _ClassificationProblem(Problem):
         flat = np.concatenate(self.assignments)
         starts = (np.cumsum(sizes) - sizes)[sampled, None]
         bounds = np.tile(sizes[sampled], _BLOCK_ROUNDS)
-        keys = _KeyPool(seed, sampled)
+        streams = _Streams(seed, sampled)
         block_start, block = None, None
 
         def oracle(X, rnd):
@@ -653,9 +645,8 @@ class _ClassificationProblem(Problem):
                 if first != block_start:
                     if rnd < 0:
                         raise ValueError(f"substream keys must be non-negative, got {rnd}")
-                    words = keys.state_words(range(first, first + _BLOCK_ROUNDS))
-                    draws = _bounded_draws(words.reshape(-1, 4), bounds, batch_size)
-                    draws = draws.reshape(_BLOCK_ROUNDS, len(sampled), batch_size)
+                    rounds = range(first, first + _BLOCK_ROUNDS)
+                    draws = streams.integers(rounds, bounds, batch_size)
                     block_start, block = first, flat[starts + draws]
                 batches.table[sampled] = block[rnd - first]
             return self._stacked_loss_grad(batches, X)

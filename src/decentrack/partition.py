@@ -47,6 +47,8 @@ def dirichlet_partition(
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n_agents < 1 or n_agents > len(labels):
         raise ValueError(f"n_agents must be in [1, {len(labels)}], got {n_agents}")
+    if min_per_agent < 0:
+        raise ValueError(f"min_per_agent must be >= 0, got {min_per_agent}")
     # the classes are np.unique's: sorted, every NaN in one.  A class holds
     # the samples equal to it (the NaN class every NaN), ascending: the
     # argsort leaves ties unordered, so one sort of class·N + index orders them

@@ -450,6 +450,7 @@ class TestOutOfRangeValues:
             ),
             (("--problem.separation=1e308",), "separation=1e+308 overflows the class means"),
             (("--run.seeds=1,1",), "each seed may be listed once, got '1,1'"),
+            (("--problem.samples=-5",), "n_samples must be >= 1, got -5"),
         ],
     )
     def test_train_config_error(self, tmp_path, capsys, args, message):
@@ -457,6 +458,13 @@ class TestOutOfRangeValues:
         assert run_cli("train", "--run.rounds=2", *args, f"--run.output_dir={out}") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_negative_partition_floor_is_config_error(self, tmp_path, capsys):
+        # a floor of 0 is valid; -3 behaved as 0
+        out = tmp_path / "out"
+        assert run_cli("partition", "--partition.min_per_agent=-3", f"--run.output_dir={out}") == 1
+        assert capsys.readouterr().err == "error: min_per_agent must be >= 0, got -3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -295,6 +295,8 @@ class TestSpecValidation:
             SyntheticProblemSpec(kind="quadratic", d=2, n_agents=2, sigma=-0.1)
         with pytest.raises(ValueError):
             SyntheticProblemSpec(kind="quadratic", d=2, n_agents=2, L=0.0)
+        with pytest.raises(ValueError, match="^n_agents must be >= 1, got 0$"):
+            SyntheticProblemSpec(kind="quadratic", d=3, n_agents=0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown problem kind"):

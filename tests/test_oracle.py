@@ -41,19 +41,35 @@ def assert_rel_close(a, b, rtol):
 
 
 def spawned_words(seed, agents, rnd):
-    """Row i: the state words of agents[i]'s (seed, agent, rnd) key, from ``_KeyPool``."""
-    return models._KeyPool(seed, np.asarray(agents)).state_words([rnd])[0]
+    """Row i: the state words of agents[i]'s (seed, agent, rnd) key, from ``_Streams``."""
+    return models._Streams(seed, np.asarray(agents)).state_words([rnd])[0]
+
+
+class StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands numpy's PCG64 the given 4 uint64 state words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def seeded_generator(words):
+    """numpy's own Generator on the PCG64 that numpy seeds from ``words``."""
+    return np.random.Generator(np.random.PCG64(StateWords(words)))
 
 
 class TestSubstreams:
-    """``_KeyPool`` words seed the streams SeedSequence keys would seed."""
+    """``_Streams`` words seed the streams SeedSequence keys would seed."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("rnd", ROUNDS)
     def test_standard_normal_matches_seed_sequence(self, seed, rnd):
         for agent, words in zip(AGENTS, spawned_words(seed, AGENTS, rnd)):
             assert np.array_equal(
-                models._generator(words).standard_normal(9),
+                seeded_generator(words).standard_normal(9),
                 reference_rng(seed, agent, rnd).standard_normal(9),
             )
 
@@ -62,7 +78,7 @@ class TestSubstreams:
     def test_integers_match_seed_sequence(self, seed, rnd):
         for agent, words in zip(AGENTS, spawned_words(seed, AGENTS, rnd)):
             assert np.array_equal(
-                models._generator(words).integers(0, 37, size=11),
+                seeded_generator(words).integers(0, 37, size=11),
                 reference_rng(seed, agent, rnd).integers(0, 37, size=11),
             )
 
@@ -114,17 +130,29 @@ def pcg64_emitting(first: int) -> np.random.PCG64:
     return bit_gen
 
 
+def count_builds(monkeypatch):
+    """The names of the PCG64s and Generators built from now on, in order."""
+    built = []
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append("PCG64") or pcg64(*a))
+    monkeypatch.setattr(
+        np.random, "Generator", lambda *a: built.append("Generator") or generator(*a)
+    )
+    return built
+
+
 class TestBoundedDraws:
     """The vectorised Lemire map against numpy's ``Generator.integers``."""
 
+    # numpy draws nothing at bound 1 and plain 32-bit words at 2**32
     @pytest.mark.parametrize("size", [1, 31, 32, 33])
-    @pytest.mark.parametrize("bound", [2, 37, 2**32 - 1, 3 * 2**30, 3 * 2**30 + 1])
+    @pytest.mark.parametrize("bound", [1, 2, 37, 2**32 - 1, 2**32, 3 * 2**30, 3 * 2**30 + 1])
     def test_matches_generator_integers(self, size, bound):
         agents = np.array(AGENTS)
         for seed in SEEDS:
+            streams = models._Streams(seed, agents)
             for rnd in ROUNDS:
-                words = spawned_words(seed, agents, rnd)
-                got = models._bounded_draws(words, np.full(len(agents), bound), size)
+                got = streams.integers([rnd], np.full(len(agents), bound), size)[0]
                 for agent, row in zip(AGENTS, got):
                     ref = reference_rng(seed, agent, rnd).integers(0, bound, size=size)
                     assert np.array_equal(row, ref)
@@ -132,24 +160,24 @@ class TestBoundedDraws:
     def test_ragged_bounds_in_one_call(self):
         agents = np.arange(64)
         bounds = 1 + np.arange(64) ** 5  # 1 up to about 9.9e8
-        words = spawned_words(2**40 + 3, agents, 9)
-        got = models._bounded_draws(words, bounds, 33)
+        got = models._Streams(2**40 + 3, agents).integers([9], bounds, 33)[0]
         for agent, bound, row in zip(agents, bounds, got):
             ref = reference_rng(2**40 + 3, int(agent), 9).integers(0, int(bound), size=33)
             assert np.array_equal(row, ref)
 
-    @pytest.mark.parametrize("size", [1, 32])
+    @pytest.mark.parametrize("size", [1, 31, 32, 33])
     def test_rejections_are_redrawn_by_numpy(self, size, monkeypatch):
-        # near 3 * 2**30 a quarter of all draws is rejected
-        calls = []
-        make = models._generator
-        monkeypatch.setattr(models, "_generator", lambda words: calls.append(1) or make(words))
+        # near 3 * 2**30 a quarter of all draws is rejected; the redrawn rows
+        # share one PCG64, so the buffered 32-bit half that one row leaves
+        # must not leak into the next
         agents = np.arange(200)
         words = spawned_words(11, agents, 3)
-        raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(16) for w in words])
+        raw = np.stack([np.random.PCG64(StateWords(w)).random_raw(17) for w in words])
         _, rejected = models._lemire_map(raw, np.full(200, 3 * 2**30, dtype=np.uint64), size)
-        got = models._bounded_draws(words, np.full(200, 3 * 2**30), size)
-        assert len(calls) == rejected.sum() > (30 if size == 1 else 190)
+        assert rejected.sum() > (30 if size == 1 else 190)
+        built = count_builds(monkeypatch)
+        got = models._Streams(11, agents).integers([3], np.full(200, 3 * 2**30), size)[0]
+        assert built == ["PCG64", "Generator"]
         for agent, row in zip(agents, got):
             ref = reference_rng(11, int(agent), 3).integers(0, 3 * 2**30, size=size)
             assert np.array_equal(row, ref)
@@ -171,10 +199,10 @@ class TestBoundedDraws:
             assert np.array_equal(draws[0], numpy_draws) != rejects
 
     def test_bounds_outside_32_bits_rejected(self):
-        words = spawned_words(0, np.arange(2), 0)
+        streams = models._Streams(0, np.arange(2))
         for bounds in ([0, 5], [5, 2**32 + 1]):
             with pytest.raises(ValueError, match="bounds"):
-                models._bounded_draws(words, np.array(bounds), 4)
+                streams.integers([0], np.array(bounds), 4)
 
 
 @st.composite
@@ -262,25 +290,6 @@ class TestBatchedOracle:
             picked = problem.draw_batch(agent, rnd + 1, batch, seed=seed).indices
             assert np.array_equal(tables[1][agent, : len(picked)], picked)
 
-    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
-    def test_no_generator_on_the_minibatch_path(self, kind, monkeypatch):
-        built = []
-        generator = np.random.Generator
-        monkeypatch.setattr(
-            np.random, "Generator", lambda bit_gen: built.append(1) or generator(bit_gen)
-        )
-        spec = SyntheticProblemSpec(kind=kind, d=20, n_agents=32, n_samples=8000, hidden=4)
-        problem = make_problem(spec)
-        oracle = make_oracle(problem, 32, seed=5)
-        X = np.zeros((32, problem.dim))
-        for rnd in range(20):
-            oracle(X, rnd)
-        assert built == []
-        # the count sees a per-agent Generator, as the rejection fallback builds
-        for words in spawned_words(5, [0, 1], 0):
-            models._generator(words)
-        assert built == [1, 1]
-
     @pytest.mark.parametrize("kind", ["GUT", "QG-GUTm", "DSGD", "GT"])
     def test_quadratic_trajectories_bit_identical(self, kind):
         W = build_topology("ring", 32)
@@ -357,15 +366,11 @@ class TestQuadraticNoise:
 
     @pytest.mark.parametrize("sigma,per_oracle", [(0.3, 1), (0.0, 0)])
     def test_one_bit_generator_per_oracle(self, sigma, per_oracle, monkeypatch):
+        # built on the first call, not when the oracle is made
         problem = self.quadratic(12, sigma)
-        built = []
-        pcg64, generator = np.random.PCG64, np.random.Generator
-        monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append("PCG64") or pcg64(*a))
-        monkeypatch.setattr(
-            np.random, "Generator", lambda *a: built.append("Generator") or generator(*a)
-        )
+        built = count_builds(monkeypatch)
         oracle = make_oracle(problem, seed=6)
-        assert built == ["PCG64", "Generator"] * per_oracle
+        assert built == []
         for rnd in range(3):
             oracle(np.zeros((12, 5)), rnd)
         assert built == ["PCG64", "Generator"] * per_oracle
@@ -378,9 +383,9 @@ class TestQuadraticNoise:
         _, G = make_oracle(problem, seed=9)(problem.b.copy(), 5)
         extra = []
         for row, words in zip(G, spawned_words(9, range(8), 5)):
-            generator = models._generator(words)
+            generator = seeded_generator(words)
             assert np.array_equal(row, generator.standard_normal(4096))
-            plain = np.random.PCG64(models._StateWords(words)).advance(4096)
+            plain = np.random.PCG64(StateWords(words)).advance(4096)
             extra.append(generator.bit_generator.state != plain.state)
         assert all(extra)
 
@@ -397,20 +402,26 @@ class TestQuadraticNoise:
             noise = np.stack([reference_rng(seed, i, rnd).standard_normal(5) for i in range(6)])
             assert np.array_equal(G, problem.L * (X - problem.b) + 0.5 * noise)
 
+    @staticmethod
+    def streams_with_view():
+        streams = models._Streams(0, np.arange(1))
+        streams.normals(0, np.empty((1, 1)))
+        return streams
+
     def test_view_writes_the_public_state(self):
-        normals = models._SeededNormals()
+        streams = self.streams_with_view()
         words = np.random.default_rng(2).integers(0, 2**64, size=(3, 4), dtype=np.uint64)
         for row, seeded in zip(words, models._pcg64_seeded(words)):
-            np.copyto(normals.view, seeded[normals.order])
-            state = np.random.PCG64(models._StateWords(row)).state
-            assert normals.bit_generator.state == state
+            np.copyto(streams._view, seeded[streams._order])
+            state = np.random.PCG64(StateWords(row)).state
+            assert streams._generator.bit_generator.state == state
 
     def test_unknown_word_order_names_numpy(self, monkeypatch):
-        order = tuple(models._SeededNormals().order)
+        order = tuple(self.streams_with_view()._order)
         others = tuple(o for o in models._PCG64_WORD_ORDERS if o != order)
         monkeypatch.setattr(models, "_PCG64_WORD_ORDERS", others)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__} "):
-            models._SeededNormals()
+            self.streams_with_view()
 
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 11, 2**100 + 5])
     @pytest.mark.parametrize("rnd", [2**32, 2**32 + 7, 2**40 + 1])
@@ -419,19 +430,8 @@ class TestQuadraticNoise:
         problem = self.quadratic(6, 1.0)
         _, G = make_oracle(problem, seed=seed)(problem.b.copy(), rnd)
         for agent, words in enumerate(spawned_words(seed, range(6), rnd)):
-            assert np.array_equal(G[agent], models._generator(words).standard_normal(5))
+            assert np.array_equal(G[agent], seeded_generator(words).standard_normal(5))
             assert np.array_equal(G[agent], reference_rng(seed, agent, rnd).standard_normal(5))
-
-    @pytest.mark.parametrize("n_words,dtype", [(624, np.uint32), (4, np.uint32), (2, np.uint64)])
-    def test_state_words_reject_other_requests(self, n_words, dtype):
-        shim = models._StateWords(spawned_words(3, [0], 1)[0])
-        with pytest.raises(ValueError, match="precomputed 4 uint64 words"):
-            shim.generate_state(n_words, dtype)
-
-    @pytest.mark.parametrize("dtype", [np.uint64, np.dtype("uint64"), "uint64"])
-    def test_state_words_accept_uint64(self, dtype):
-        words = spawned_words(3, [0], 1)[0]
-        assert models._StateWords(words).generate_state(4, dtype) is words
 
 
 class TestQuadraticNoiseBuffer:
@@ -608,7 +608,7 @@ class TestPcg64Raw:
         got = models._pcg64_raw(words, m)
         assert got.shape == (len(words), m) and got.dtype == np.uint64
         for row, key in zip(got, words):
-            assert np.array_equal(row, np.random.PCG64(models._StateWords(key)).random_raw(m))
+            assert np.array_equal(row, np.random.PCG64(StateWords(key)).random_raw(m))
 
     def test_seeded_states_match_numpy(self):
         keys = np.random.default_rng(5).integers(0, 2**64, size=(2000, 4), dtype=np.uint64)
@@ -621,7 +621,7 @@ class TestPcg64Raw:
         got = models._pcg64_seeded(words)
         assert got.shape == (len(words), 4) and got.dtype == np.uint64
         for (s_lo, s_hi, inc_lo, inc_hi), key in zip(got.tolist(), words):
-            state = np.random.PCG64(models._StateWords(key)).state["state"]
+            state = np.random.PCG64(StateWords(key)).state["state"]
             assert state == {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo}
 
     @pytest.mark.parametrize("m", [1, 16, 17])
@@ -633,14 +633,14 @@ class TestPcg64Raw:
         for leftover in (threshold, threshold - 1):
             first = (0x7F4A7C15 << 32) | (leftover * pow(bound, -1, 2**32) % 2**32)
             words = seed_words_for(pcg64_emitting(first))
-            assert np.random.PCG64(models._StateWords(words)).state == pcg64_emitting(first).state
+            assert np.random.PCG64(StateWords(words)).state == pcg64_emitting(first).state
             got = models._pcg64_raw(words[None], m)[0]
             assert got[0] == first
             assert np.array_equal(got, pcg64_emitting(first).random_raw(m))
 
     def test_block_state_words_match_seed_sequence(self):
         agents = np.array([0, 5, 2**32 - 1])
-        keys = models._KeyPool(2**40 + 3, agents)
+        keys = models._Streams(2**40 + 3, agents)
         for rounds in (range(16), range(2**32 - 16, 2**32), [2**64, 2**64 + 9]):
             words = keys.state_words(rounds)
             assert words.shape == (len(rounds), len(agents), 4)
@@ -654,7 +654,7 @@ class TestPcg64Raw:
                 assert np.array_equal(block_row, np.stack(expected))
 
     def test_block_of_mixed_word_counts_rejected(self):
-        keys = models._KeyPool(7, np.arange(3))
+        keys = models._Streams(7, np.arange(3))
         with pytest.raises(ValueError, match="word"):
             keys.state_words([2**32 - 1, 2**32])
 
@@ -672,10 +672,10 @@ class TestRoundBlocks:
         perm = np.random.default_rng(1).permutation(spec.n_samples)
         problem = make_problem(spec, assignments=np.split(perm, np.cumsum(sizes)[:-1]))
         tables, draws = [], []
-        stacked, bounded = problem._stacked_loss_grad, models._bounded_draws
+        stacked, bounded = problem._stacked_loss_grad, models._Streams.integers
         problem._stacked_loss_grad = lambda b, X: tables.append(b.table.copy()) or stacked(b, X)
         monkeypatch.setattr(
-            models, "_bounded_draws", lambda *args: draws.append(1) or bounded(*args)
+            models._Streams, "integers", lambda *args: draws.append(1) or bounded(*args)
         )
         oracle = make_oracle(problem, 16, seed=2**64 + 11)
         X = np.zeros((spec.n_agents, problem.dim))
@@ -695,21 +695,33 @@ class TestRoundBlocks:
             oracle(np.zeros((4, problem.dim)), -3)
 
     @pytest.mark.parametrize("kind", ["softmax", "mlp"])
-    def test_no_bit_generator_on_the_minibatch_path(self, kind, monkeypatch):
-        words = spawned_words(11, np.arange(200), 3)
-        bounds = np.full(200, 3 * 2**30, dtype=np.uint64)
-        raw = np.stack([np.random.PCG64(models._StateWords(w)).random_raw(1) for w in words])
-        _, rejected = models._lemire_map(raw, bounds, 1)
-        built = []
-        pcg64 = np.random.PCG64
-        monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(1) or pcg64(seed))
+    def test_at_most_one_bit_generator_per_oracle(self, kind, monkeypatch):
+        # at batch 31 of about 250 samples a rejection is rare: 20 rounds
+        # build nothing.  Flagging every row rejected sends all of them
+        # through numpy, on one PCG64 and one Generator for the oracle
         spec = SyntheticProblemSpec(kind=kind, d=20, n_agents=32, n_samples=8000, hidden=4)
         problem = make_problem(spec)
-        oracle = make_oracle(problem, 32, seed=5)
         X = np.zeros((32, problem.dim))
+        built = count_builds(monkeypatch)
+        oracle = make_oracle(problem, 31, seed=5)
         for rnd in range(20):
             oracle(X, rnd)
         assert built == []
-        # the count sees the rejection fallback's bit generators
-        models._bounded_draws(words, bounds, 1)
-        assert len(built) == rejected.sum() > 30
+        lemire = models._lemire_map
+
+        def all_rejected(raw, bounds, size):
+            draws, rejected = lemire(raw, bounds, size)
+            return draws, np.ones_like(rejected)
+
+        monkeypatch.setattr(models, "_lemire_map", all_rejected)
+        tables = []
+        stacked = problem._stacked_loss_grad
+        problem._stacked_loss_grad = lambda b, X: tables.append(b.table.copy()) or stacked(b, X)
+        oracle = make_oracle(problem, 31, seed=5)
+        for rnd in (0, 17, 2**32 + 1):
+            oracle(X, rnd)
+        assert built == ["PCG64", "Generator"]
+        for rnd, table in zip((0, 17, 2**32 + 1), tables):
+            for agent in range(32):
+                picked = problem.draw_batch(agent, rnd, 31, seed=5).indices
+                assert np.array_equal(table[agent], picked)
